@@ -21,66 +21,38 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
                                           bool* halted) {
   *fired = false;
   *stale = false;
+  auto txn = txn_manager_.Begin();
+  bool halt_requested = false;
+  Status st = Execute(inst, txn.get(), stale, &halt_requested);
+  if (!st.ok() || *stale) {
+    // The matcher has seen nothing of this transaction yet, so the
+    // abort is purely relational.
+    return txn_manager_.Abort(txn.get(), st);
+  }
+  PRODB_RETURN_IF_ERROR(CommitAfterMaintenance(
+      txn.get(),
+      [this](const ChangeSet& delta) { return matcher_->OnBatch(delta); }));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    commit_log_.push_back(inst.rule_name);
+  }
+  *fired = true;
+  if (halt_requested) *halted = true;
+  return Status::OK();
+}
+
+Status ConcurrentEngine::Execute(const Instantiation& inst, Transaction* txn,
+                                 bool* stale, bool* halt) {
   const Rule& rule =
       matcher_->rules()[static_cast<size_t>(inst.rule_index)];
-  auto txn = txn_manager_.Begin();
-
-  // The transaction's whole ∆ins/∆del, built up as the RHS executes.
-  // Relations are mutated eagerly (under write locks); the matcher sees
-  // nothing until the single OnBatch at the commit point.
-  ChangeSet delta;
-
-  // Compensate-and-release on abort. The matcher was never told about
-  // this transaction's changes (maintenance is deferred to the commit
-  // point), so compensation is purely relational: apply the inverse
-  // ChangeSet, then release the locks. Undone deletes go through Restore
-  // so tuples come back under their original ids — conflict-set entries
-  // recorded before this transaction still reference those ids, and a
-  // value-only re-insert would strand them on ids that no longer exist.
-  // Compensation is best-effort: one failed step (e.g. an I/O error on a
-  // paged relation) must not abandon the remaining steps, and the locks
-  // are released no matter what — a transaction that can neither commit
-  // nor fully compensate must not also wedge every other transaction.
-  auto abort_with = [&](Status st) -> Status {
-    ChangeSet inverse = delta.Inverse();
-    Status comp_error;
-    {
-      // Compensation records stay attributed to the aborting transaction
-      // so restart recovery skips them together with the forward records
-      // (no commit record will ever exist for this id).
-      WalTxnScope wal_scope(txn->id());
-      for (size_t i = 0; i < inverse.size(); ++i) {
-        Delta& d = inverse[i];
-        Relation* rel = wm_.catalog()->Get(d.relation);
-        Status s = rel == nullptr
-                       ? Status::NotFound("relation " + d.relation)
-                       : (d.is_insert() ? rel->Restore(d.id, d.tuple)
-                                        : rel->Delete(d.id));
-        if (!s.ok() && comp_error.ok()) comp_error = s;
-      }
-    }
-    if (LogManager* wal = wm_.catalog()->wal()) {
-      LogRecord rec;
-      rec.type = LogRecordType::kAbort;
-      rec.txn_id = txn->id();
-      wal->Append(rec);
-      // Compensation restored pre-transaction state; the dirtied pages
-      // may reach disk again.
-      wm_.catalog()->buffer_pool()->ReleaseTxnPages(txn->id());
-    }
-    txn_manager_.lock_manager()->ReleaseAll(txn->id());
-    if (!comp_error.ok()) return comp_error;
-    return st;
-  };
 
   // 1. Read locks: tuple-level for positive CEs, relation-level for
   //    negated CEs (negative dependence must block inserters, §5.2).
   for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
     const ConditionSpec& cond = rule.lhs.conditions[ce];
-    Status st = cond.negated
-                    ? txn->ReadLockRelation(cond.relation)
-                    : txn->ReadLock(cond.relation, inst.tuple_ids[ce]);
-    if (!st.ok()) return abort_with(st);
+    PRODB_RETURN_IF_ERROR(
+        cond.negated ? txn->ReadLockRelation(cond.relation)
+                     : txn->ReadLock(cond.relation, inst.tuple_ids[ce]));
   }
 
   // 2. Validate against current WM: tuples must still exist unchanged,
@@ -90,115 +62,95 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
     Relation* rel = wm_.catalog()->Get(cond.relation);
     if (rel == nullptr) {
       *stale = true;
-      return abort_with(Status::OK());
+      return Status::OK();
     }
     if (cond.negated) {
       bool exists = false;
-      Status st = rel->Scan([&](TupleId, const Tuple& t) {
+      PRODB_RETURN_IF_ERROR(rel->Scan([&](TupleId, const Tuple& t) {
         if (!exists) {
           Binding b = inst.binding;
           if (TupleConsistent(cond, t, &b)) exists = true;
         }
         return Status::OK();
-      });
-      if (!st.ok()) return abort_with(st);
+      }));
       if (exists) {
         *stale = true;
-        return abort_with(Status::OK());
+        return Status::OK();
       }
     } else {
       Tuple t;
       Status st = rel->Get(inst.tuple_ids[ce], &t);
       if (!st.ok() || t != inst.tuples[ce]) {
         *stale = true;
-        return abort_with(Status::OK());
+        return Status::OK();
       }
     }
   }
 
-  // 3. RHS actions under write locks, recorded into the ChangeSet.
+  // 3. RHS actions under write locks; the transaction records its ∆.
   std::vector<TupleId> current = inst.tuple_ids;
   std::vector<Tuple> current_tuples = inst.tuples;
-  bool halt_requested = false;
   for (const CompiledAction& action : rule.actions) {
     switch (action.kind) {
       case ActionKind::kMake: {
-        Tuple t = BuildMakeTuple(action, inst.binding);
         TupleId id;
-        Status st = txn->Insert(action.target, t, &id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddInsert(action.target, t, id);
+        PRODB_RETURN_IF_ERROR(txn->Insert(
+            action.target, BuildMakeTuple(action, inst.binding), &id));
         break;
       }
       case ActionKind::kRemove: {
         size_t ce = static_cast<size_t>(action.ce_index);
-        const std::string& cls = rule.lhs.conditions[ce].relation;
-        Status st = txn->Delete(cls, current[ce]);
-        if (!st.ok()) return abort_with(st);
-        delta.AddDelete(cls, current[ce], current_tuples[ce]);
+        PRODB_RETURN_IF_ERROR(
+            txn->Delete(rule.lhs.conditions[ce].relation, current[ce]));
         break;
       }
       case ActionKind::kModify: {
         size_t ce = static_cast<size_t>(action.ce_index);
-        const std::string& cls = rule.lhs.conditions[ce].relation;
         Tuple next =
             BuildModifyTuple(action, current_tuples[ce], inst.binding);
-        Status st = txn->Delete(cls, current[ce]);
-        if (!st.ok()) return abort_with(st);
-        TupleId id;
-        st = txn->Insert(cls, next, &id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddModify(cls, current[ce], current_tuples[ce], next, id);
-        current[ce] = id;
+        PRODB_RETURN_IF_ERROR(txn->Update(rule.lhs.conditions[ce].relation,
+                                          current[ce], next, &current[ce]));
         current_tuples[ce] = std::move(next);
         break;
       }
       case ActionKind::kHalt:
-        halt_requested = true;
+        *halt = true;
         break;
       case ActionKind::kCall: {
         std::vector<Value> args;
         for (const CompiledValue& cv : action.args) {
           args.push_back(cv.Resolve(inst.binding));
         }
-        Status st = functions_.Invoke(action.target, args);
-        if (!st.ok()) return abort_with(st);
+        PRODB_RETURN_IF_ERROR(functions_.Invoke(action.target, args));
         break;
       }
     }
   }
+  return Status::OK();
+}
 
+Status ConcurrentEngine::CommitAfterMaintenance(Transaction* txn,
+                                                const MaintainFn& maintain) {
   // 4. Maintenance, then commit: the matcher receives the transaction's
-  //    whole ∆ in one OnBatch *before* locks release — the paper's rule
+  //    whole ∆ in one batch *before* locks release — the paper's rule
   //    that "a production should not commit its RHS actions and release
   //    its locks until the triggered maintenance process updates the
   //    affected COND relations as well" (§5.2), made structural.
-  if (!delta.empty()) {
-    Status st = matcher_->OnBatch(delta);
+  if (!txn->changes().empty()) {
+    Status st = maintain(txn->changes());
     if (!st.ok()) {
-      // Maintenance failed mid-batch: matcher state cannot be unwound
-      // cleanly, so surface the error (relations keep the committed ∆).
-      // The page holds must still drop or the pool wedges permanently.
-      if (wm_.catalog()->wal() != nullptr) {
-        wm_.catalog()->buffer_pool()->ReleaseTxnPages(txn->id());
-      }
-      txn_manager_.lock_manager()->ReleaseAll(txn->id());
-      return st;
+      // The relations are compensated, but a batch that failed part-way
+      // may have left part of ∆ in the matcher: that one case cannot be
+      // unwound, so the error surfaces.
+      return txn_manager_.Abort(txn, st);
     }
   }
-  {
-    // Commit point: force the log through our commit record. On failure
-    // the transaction is still active — compensate like any other abort.
-    Status st = txn_manager_.Commit(txn.get());
-    if (!st.ok()) return abort_with(st);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    commit_log_.push_back(inst.rule_name);
-  }
-  *fired = true;
-  if (halt_requested) *halted = true;
-  return Status::OK();
+  Status st = txn_manager_.Commit(txn);
+  if (st.ok()) return st;
+  // The commit record never became durable, but the matcher has already
+  // seen ∆: the abort feeds the inverse back through maintenance so the
+  // conflict set tracks the relations again.
+  return txn_manager_.Abort(txn, st, maintain);
 }
 
 Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
@@ -226,23 +178,24 @@ Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
     }
     bool fired = false, stale = false, halted = false;
     Status st = RunInstantiation(inst, &fired, &stale, &halted);
-    if (st.IsDeadlock()) {
-      // Victim: changes were compensated; requeue, then stop counting as
-      // active (requeue-before-decrement keeps idle workers from
-      // observing a spuriously quiescent system).
+    if (!st.ok()) {
+      // Aborted: the instantiation did not fire, so it goes back into the
+      // conflict set (a later Take revalidates it). Requeue-before-
+      // decrement keeps idle workers from observing a spuriously
+      // quiescent system.
+      matcher_->conflict_set().Add(inst);
+      if (!st.IsDeadlock()) {
+        active_workers_.fetch_sub(1);
+        return st;
+      }
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++result->deadlock_aborts;
       }
-      matcher_->conflict_set().Add(inst);
       active_workers_.fetch_sub(1);
       std::this_thread::sleep_for(
           std::chrono::microseconds(50 + backoff.Uniform(500)));
       continue;
-    }
-    if (!st.ok()) {
-      active_workers_.fetch_sub(1);
-      return st;
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -39,19 +39,22 @@ struct ConcurrentRunResult {
 ///   2. validate the instantiation against current WM (a concurrently
 ///      committed transaction may have deleted or changed its tuples —
 ///      the ∆del of §5.2); stale instantiations are discarded;
-///   3. execute the RHS under write locks, buffering the transaction's
-///      whole ∆ins/∆del into a ChangeSet (relations mutate eagerly, the
-///      matcher sees nothing yet);
-///   4. hand the ChangeSet to the matcher in one OnBatch, then commit and
+///   3. execute the RHS through Transaction::{Insert,Delete,Update},
+///      which take write locks and record the transaction's whole
+///      ∆ins/∆del as a ChangeSet (relations mutate eagerly, the matcher
+///      sees nothing yet);
+///   4. hand that ChangeSet to the matcher in one OnBatch, then commit and
 ///      release locks — the paper's rule that "a production should not
 ///      commit its RHS actions and release its locks until the triggered
 ///      maintenance process updates the affected COND relations as well"
 ///      is structural: maintenance sits between the last RHS action and
 ///      the commit point, and sees the entire ∆ at once;
-///   5. on deadlock (Status::Deadlock from the lock manager), apply the
-///      *inverse* ChangeSet to the relations (the matcher was never
-///      notified, so compensation is purely relational), release, and
-///      retry the instantiation.
+///   5. on any failure, TxnManager::Abort — the one compensation path —
+///      applies the inverse ChangeSet to the relations (restoring
+///      original tuple ids) and releases. Before the commit point the
+///      matcher was never notified, so compensation is purely relational;
+///      after a failed commit the inverse also goes through OnBatch. The
+///      instantiation is requeued; a deadlock victim is retried.
 ///
 /// The resulting schedule is serializable by strict 2PL; tests verify
 /// that the committed firing sequence replayed serially reproduces the
@@ -82,14 +85,28 @@ class ConcurrentEngine {
   /// Rule names in commit order (the equivalent serial schedule).
   std::vector<std::string> commit_log() const;
 
+  /// Steps 4–5 for a transaction whose writes are done, shared by engine
+  /// firings and server batches: `maintain` runs COND maintenance over
+  /// txn->changes(), then the transaction commits. A maintenance failure
+  /// aborts; a commit failure aborts and passes the inverse ∆ through
+  /// `maintain` before the locks release. Either way the failure returns
+  /// as TxnManager::Abort reports it.
+  Status CommitAfterMaintenance(Transaction* txn, const MaintainFn& maintain);
+
  private:
   /// Runs one instantiation as a transaction. Outcomes:
   ///   *fired    — committed;
   ///   *stale    — validation failed, discarded;
   ///   *halted   — a (halt) action committed;
-  /// Status::Deadlock — aborted and compensated; caller retries.
+  /// Status::Deadlock — aborted and compensated; caller retries;
+  /// any other error — aborted and compensated; the run stops.
   Status RunInstantiation(const Instantiation& inst, bool* fired,
                           bool* stale, bool* halted);
+
+  /// Steps 1–3 inside `txn`. Sets *stale when validation fails and *halt
+  /// when the RHS contains (halt).
+  Status Execute(const Instantiation& inst, Transaction* txn, bool* stale,
+                 bool* halt);
 
   Status Worker(ConcurrentRunResult* result);
 

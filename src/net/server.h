@@ -59,9 +59,10 @@ struct ServerStats {
 /// captured for the ack is exactly this batch's), and the positive ack
 /// is sent only after TxnManager::Commit has forced the WAL through the
 /// commit record — group commit: one force covers every concurrently
-/// acking session. A deadlock victim is compensated exactly the way the
-/// engine compensates (inverse ChangeSet via Relation::Restore under the
-/// transaction's WAL scope) and retried.
+/// acking session. The maintain-then-commit step is the engine's own
+/// (ConcurrentEngine::CommitAfterMaintenance), so a failed batch ends in
+/// TxnManager::Abort exactly as a failed firing does; a deadlock victim
+/// is then retried.
 class RuleServer {
  public:
   explicit RuleServer(RuleServerOptions options);

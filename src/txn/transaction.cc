@@ -1,7 +1,5 @@
 #include "txn/transaction.h"
 
-#include <map>
-
 namespace prodb {
 
 Status Transaction::ReadLock(const std::string& rel, TupleId id) {
@@ -24,40 +22,54 @@ Status Transaction::WriteIntent(const std::string& rel) {
   return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kIX);
 }
 
-Status Transaction::Insert(const std::string& rel, const Tuple& t,
-                           TupleId* id) {
+Status Transaction::ApplyInsert(const std::string& rel, const Tuple& t,
+                                TupleId* id) {
   Relation* r = catalog_->Get(rel);
   if (r == nullptr) return Status::NotFound("relation " + rel);
   PRODB_RETURN_IF_ERROR(WriteIntent(rel));
   // Attribute the WAL records this mutation generates to us; restart
   // recovery redoes them only if our commit record made it to disk.
   WalTxnScope wal_scope(id_);
-  PRODB_RETURN_IF_ERROR(r->Insert(t, id));
-  // Lock the new tuple so no reader observes it before we commit.
-  PRODB_RETURN_IF_ERROR(
-      locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX));
-  changes_.push_back(Change{rel, /*inserted=*/true, *id, t});
-  return Status::OK();
+  return r->Insert(t, id);
 }
 
-Status Transaction::Delete(const std::string& rel, TupleId id) {
+Status Transaction::ApplyDelete(const std::string& rel, TupleId id,
+                                Tuple* old) {
   Relation* r = catalog_->Get(rel);
   if (r == nullptr) return Status::NotFound("relation " + rel);
   PRODB_RETURN_IF_ERROR(WriteLock(rel, id));
   WalTxnScope wal_scope(id_);
+  PRODB_RETURN_IF_ERROR(r->Get(id, old));
+  return r->Delete(id);
+}
+
+Status Transaction::Insert(const std::string& rel, const Tuple& t,
+                           TupleId* id) {
+  PRODB_RETURN_IF_ERROR(ApplyInsert(rel, t, id));
+  changes_.AddInsert(rel, t, *id);
+  // Lock the new tuple so no reader observes it before we commit.
+  return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX);
+}
+
+Status Transaction::Delete(const std::string& rel, TupleId id) {
   Tuple old;
-  PRODB_RETURN_IF_ERROR(r->Get(id, &old));
-  PRODB_RETURN_IF_ERROR(r->Delete(id));
-  changes_.push_back(Change{rel, /*inserted=*/false, id, std::move(old)});
+  PRODB_RETURN_IF_ERROR(ApplyDelete(rel, id, &old));
+  changes_.AddDelete(rel, id, old);
   return Status::OK();
 }
 
 Status Transaction::Update(const std::string& rel, TupleId id, const Tuple& t,
                            TupleId* new_id) {
-  // §3.1 / §5: a modification is a deletion followed by an insertion, and
-  // the maintenance algorithms see it exactly that way.
-  PRODB_RETURN_IF_ERROR(Delete(rel, id));
-  return Insert(rel, t, new_id);
+  Tuple old;
+  PRODB_RETURN_IF_ERROR(ApplyDelete(rel, id, &old));
+  Status st = ApplyInsert(rel, t, new_id);
+  if (!st.ok()) {
+    // The delete half is applied and must stay undoable.
+    changes_.AddDelete(rel, id, old);
+    return st;
+  }
+  changes_.AddModify(rel, id, old, t, *new_id);
+  return locks_->Acquire(id_, ResourceId::Tup(rel, *new_id), LockMode::kX);
 }
 
 Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
@@ -65,55 +77,6 @@ Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
   if (r == nullptr) return Status::NotFound("relation " + rel);
   PRODB_RETURN_IF_ERROR(ReadLock(rel, id));
   return r->Get(id, out);
-}
-
-Status Transaction::Rollback() {
-  // Undoing a deletion re-inserts the tuple under a fresh id; if the
-  // transaction later deleted that same (already re-identified) tuple,
-  // the corresponding insert-undo must chase the remapping.
-  //
-  // Undo is best-effort: a step that fails (an I/O error from a paged
-  // relation, a tuple removed behind the transaction's back) must not
-  // strand the remaining entries — bailing out mid-loop leaves WM
-  // half-rolled-back with the undo log still claiming the changes are
-  // live. Every entry is attempted; the transaction always reaches
-  // kAborted; the returned Status reports what could not be undone.
-  std::map<std::pair<std::string, TupleId>, TupleId> remap;
-  // Undo records stay attributed to this (loser) transaction: restart
-  // recovery skips them along with the forward records, and no-steal
-  // keeps both off disk until the abort completes.
-  WalTxnScope wal_scope(id_);
-  Status first_error;
-  size_t failed = 0;
-  for (auto it = changes_.rbegin(); it != changes_.rend(); ++it) {
-    Relation* r = catalog_->Get(it->relation);
-    Status st;
-    if (r == nullptr) {
-      st = Status::NotFound("relation " + it->relation);
-    } else if (it->inserted) {
-      TupleId target = it->id;
-      auto rit = remap.find({it->relation, it->id});
-      if (rit != remap.end()) target = rit->second;
-      st = r->Delete(target);
-    } else {
-      TupleId id;
-      st = r->Insert(it->tuple, &id);
-      if (st.ok()) remap[{it->relation, it->id}] = id;
-    }
-    if (!st.ok()) {
-      ++failed;
-      if (first_error.ok()) first_error = st;
-    }
-  }
-  size_t total = changes_.size();
-  changes_.clear();
-  state_ = TxnState::kAborted;
-  if (failed == 0) return Status::OK();
-  if (failed == 1) return first_error;
-  return Status::Internal("rollback incomplete: " + std::to_string(failed) +
-                          " of " + std::to_string(total) +
-                          " undo steps failed; first: " +
-                          first_error.ToString());
 }
 
 std::unique_ptr<Transaction> TxnManager::Begin() {
@@ -139,28 +102,69 @@ Status TxnManager::Commit(Transaction* txn) {
     rec.type = LogRecordType::kCommit;
     rec.txn_id = txn->id();
     PRODB_RETURN_IF_ERROR(wal->FlushTo(wal->Append(rec)));
-    // Durable now: the pages this transaction dirtied may be stolen.
-    catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
   }
-  txn->MarkCommitted();
-  locks_->ReleaseAll(txn->id());
+  txn->state_ = TxnState::kCommitted;
+  // Durable now: the pages this transaction dirtied may be stolen.
+  Release(txn);
   return Status::OK();
 }
 
-Status TxnManager::Abort(Transaction* txn) {
-  Status st = txn->Rollback();
+Status TxnManager::Abort(Transaction* txn, Status cause,
+                         const MaintainFn& maintain) {
+  const ChangeSet inverse = txn->changes_.Inverse();
+  Status first_error;
+  size_t failed = 0;
+  {
+    // Undo records stay attributed to this (loser) transaction: restart
+    // recovery skips them along with the forward records, since no
+    // commit record will ever exist for this id.
+    WalTxnScope wal_scope(txn->id());
+    for (const Delta& d : inverse) {
+      Relation* r = catalog_->Get(d.relation);
+      Status st = r == nullptr ? Status::NotFound("relation " + d.relation)
+                  : d.is_insert() ? r->Restore(d.id, d.tuple)
+                                  : r->Delete(d.id);
+      if (!st.ok()) {
+        ++failed;
+        if (first_error.ok()) first_error = st;
+      }
+    }
+  }
+  Status result = first_error;
+  if (failed > 1) {
+    result = Status::Internal("rollback incomplete: " +
+                              std::to_string(failed) + " of " +
+                              std::to_string(inverse.size()) +
+                              " undo steps failed; first: " +
+                              first_error.ToString());
+  }
+  // Maintenance over the inverse runs before the locks release, so no
+  // other transaction sees the relations and the matcher disagree.
+  if (maintain && !inverse.empty()) {
+    Status st = maintain(inverse);
+    if (result.ok()) result = st;
+  }
+  txn->changes_.clear();
+  txn->state_ = TxnState::kAborted;
   if (LogManager* wal = catalog_->wal()) {
     // The abort record is hygiene (absence of a commit already dooms the
-    // transaction at restart); no flush needed. The undo above restored
-    // pre-transaction state, so the pages may reach disk again.
+    // transaction at restart); no flush needed.
     LogRecord rec;
     rec.type = LogRecordType::kAbort;
     rec.txn_id = txn->id();
     wal->Append(rec);
+  }
+  // The undo restored pre-transaction state; the pages may reach disk
+  // again.
+  Release(txn);
+  return result.ok() ? cause : result;
+}
+
+void TxnManager::Release(Transaction* txn) {
+  if (catalog_->wal() != nullptr) {
     catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
   }
   locks_->ReleaseAll(txn->id());
-  return st;
 }
 
 }  // namespace prodb

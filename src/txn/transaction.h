@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/change_set.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "db/catalog.h"
@@ -17,14 +17,16 @@ namespace prodb {
 
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
-/// A transaction: lock scope + undo log over catalog relations.
+/// A transaction: lock scope + change log over catalog relations.
 ///
 /// §5 treats every selected production (matching pattern plus the WM
 /// tuples it selects) as a transaction. The RHS actions run through
 /// Transaction::{Insert,Delete,Update} so that (a) writes take X locks
-/// first, (b) an abort can undo them, and (c) the engine can defer lock
-/// release until COND maintenance has finished (strict 2PL with the
-/// paper's "commit after maintenance" rule).
+/// first, (b) the writes are recorded as one ChangeSet — the ∆ins/∆del
+/// that COND maintenance consumes before commit and whose inverse
+/// TxnManager::Abort applies — and (c) lock release waits for the
+/// TxnManager (strict 2PL with the paper's "commit after maintenance"
+/// rule).
 class Transaction {
  public:
   Transaction(uint64_t id, Catalog* catalog, LockManager* locks)
@@ -44,7 +46,10 @@ class Transaction {
   Status WriteIntent(const std::string& rel);
 
   /// --- Logged mutations -------------------------------------------------
-  /// Each takes the required lock, applies the change, and records undo.
+  /// Each takes the required lock, applies the change and records it in
+  /// changes(): Insert as an insert, Delete as a delete carrying the old
+  /// tuple, Update as a cross-linked modify pair (§3.1: a modification is
+  /// a deletion followed by an insertion, seen as one WM event).
   Status Insert(const std::string& rel, const Tuple& t, TupleId* id);
   Status Delete(const std::string& rel, TupleId id);
   Status Update(const std::string& rel, TupleId id, const Tuple& t,
@@ -53,31 +58,30 @@ class Transaction {
   /// Reads a tuple under a read lock.
   Status Read(const std::string& rel, TupleId id, Tuple* out);
 
-  /// Marks committed; the owner (TxnManager / engine) releases locks.
-  void MarkCommitted() { state_ = TxnState::kCommitted; }
-
-  /// Rolls back every logged mutation in reverse order and marks aborted.
-  Status Rollback();
-
-  /// Changed (relation, tuple, inserted?) triples, in application order —
-  /// consumed by the engine to drive COND maintenance before commit.
-  struct Change {
-    std::string relation;
-    bool inserted;  // false = deleted
-    TupleId id;
-    Tuple tuple;
-  };
-  const std::vector<Change>& changes() const { return changes_; }
+  /// The transaction's writes in application order, with assigned ids.
+  /// Emptied by an abort.
+  const ChangeSet& changes() const { return changes_; }
 
  private:
+  friend class TxnManager;
+
+  /// Apply one half of a mutation without recording it.
+  Status ApplyInsert(const std::string& rel, const Tuple& t, TupleId* id);
+  Status ApplyDelete(const std::string& rel, TupleId id, Tuple* old);
+
   uint64_t id_;
   Catalog* catalog_;
   LockManager* locks_;
   TxnState state_ = TxnState::kActive;
-  std::vector<Change> changes_;
+  ChangeSet changes_;
 };
 
-/// Issues transaction ids and finalizes commit/abort.
+/// Runs COND maintenance over a ChangeSet (Matcher::OnBatch, possibly
+/// bracketed by its caller's own serialization).
+using MaintainFn = std::function<Status(const ChangeSet&)>;
+
+/// Issues transaction ids and ends transactions: Commit and Abort are
+/// the only places locks and page holds are released.
 class TxnManager {
  public:
   TxnManager(Catalog* catalog, LockManager* locks)
@@ -92,13 +96,27 @@ class TxnManager {
   /// held; the caller should abort it.
   Status Commit(Transaction* txn);
 
-  /// Abort: undo, mark aborted, release locks.
-  Status Abort(Transaction* txn);
+  /// Abort: the single compensation path. Applies the inverse of
+  /// changes() to the relations — undone deletes come back under their
+  /// original ids (Relation::Restore), since conflict-set entries made
+  /// before the transaction still reference them — then, when
+  /// `maintain` is given, hands that inverse to it (for a transaction
+  /// whose ∆ the matcher already saw), appends the abort record, and
+  /// releases page holds and locks. Best-effort: every undo step is
+  /// attempted and the transaction always ends kAborted with its locks
+  /// released. Returns what could not be undone (or the inverse's
+  /// maintenance error) when anything failed, else `cause` — the failure
+  /// that made the caller abort.
+  Status Abort(Transaction* txn, Status cause = Status::OK(),
+               const MaintainFn& maintain = nullptr);
 
   LockManager* lock_manager() { return locks_; }
   uint64_t started() const { return next_id_.load(); }
 
  private:
+  /// Drops the transaction's buffer-pool page holds and its locks.
+  void Release(Transaction* txn);
+
   Catalog* catalog_;
   LockManager* locks_;
   std::atomic<uint64_t> next_id_{1};

@@ -8,6 +8,8 @@
 #include "match/pattern_matcher.h"
 #include "match/query_matcher.h"
 #include "matcher_test_util.h"
+#include "rete/network.h"
+#include "storage/fault_disk.h"
 #include "workload/generator.h"
 
 namespace prodb {
@@ -301,6 +303,97 @@ TEST_F(ConcurrentEngineTest, HaltStopsWorkers) {
   EXPECT_TRUE(result.halted);
   // Workers stop promptly; far fewer than 100 firings.
   EXPECT_LT(result.firings, 100u);
+}
+
+// Every tuple of `relations`, keyed by id: ids are part of the state an
+// abort must restore.
+std::map<std::string, std::map<TupleId, Tuple>> IdState(
+    Catalog* catalog, const std::vector<std::string>& relations) {
+  std::map<std::string, std::map<TupleId, Tuple>> out;
+  for (const std::string& name : relations) {
+    auto& rows = out[name];
+    EXPECT_TRUE(catalog->Get(name)
+                    ->Scan([&](TupleId id, const Tuple& t) {
+                      rows.emplace(id, t);
+                      return Status::OK();
+                    })
+                    .ok());
+  }
+  return out;
+}
+
+TEST(ConcurrentEngineFaultTest, FailedCommitRestoresRelationsAndConflictSet) {
+  // The commit's log force fails after maintenance has already shown the
+  // matcher the firing's ∆. The abort must put the relations back under
+  // their original ids and feed the inverse ∆ through the matcher, and
+  // the instantiation that did not fire must stay in the conflict set, so
+  // the conflict set equals a recomputation from the relations. FIFO
+  // requeues each failed instantiation behind the others, so one run per
+  // instantiation fails each rule's commit once.
+  const std::string program = R"(
+(literalize A v)
+(literalize B v)
+(literalize L v)
+(p move (A ^v <x>) --> (remove 1) (make B ^v <x>))
+(p lonely (B ^v <x>) - (A ^v <x>) --> (modify 1 ^v 0))
+(p log (B ^v <x>) --> (make L ^v <x>))
+)";
+  const std::vector<std::string> classes = {"A", "B", "L"};
+  const std::vector<std::function<std::unique_ptr<Matcher>(Catalog*)>>
+      factories = {
+          [](Catalog* c) { return std::make_unique<QueryMatcher>(c); },
+          [](Catalog* c) { return std::make_unique<PatternMatcher>(c); },
+          [](Catalog* c) { return std::make_unique<ReteNetwork>(c); },
+      };
+  for (size_t f = 0; f < factories.size(); ++f) {
+    SCOPED_TRACE("matcher " + std::to_string(f));
+    FaultInjectingDiskManager fault(std::make_unique<MemoryDiskManager>());
+    CatalogOptions copts;
+    copts.default_storage = StorageKind::kPaged;
+    copts.enable_wal = true;
+    copts.disk = &fault;
+    Catalog catalog(copts);
+    std::vector<Rule> rules;
+    ASSERT_TRUE(LoadProgram(program, &catalog, &rules).ok());
+    std::unique_ptr<Matcher> matcher = factories[f](&catalog);
+    for (const Rule& r : rules) ASSERT_TRUE(matcher->AddRule(r).ok());
+    LockManager locks;
+    ConcurrentEngineOptions opts;
+    opts.workers = 1;
+    ConcurrentEngine engine(&catalog, matcher.get(), &locks, opts);
+    for (int i = 1; i <= 4; ++i) {
+      ASSERT_TRUE(engine.Insert("A", Tuple{Value(i)}).ok());
+    }
+    ASSERT_TRUE(engine.Insert("B", Tuple{Value(9)}).ok());
+    ASSERT_TRUE(catalog.ForceDurable().ok());
+    const auto before = IdState(&catalog, classes);
+
+    MatcherHarness oracle;
+    ASSERT_TRUE(oracle.Init(program, factories[f]).ok());
+    for (const auto& [name, rows] : before) {
+      for (const auto& [id, t] : rows) {
+        ASSERT_TRUE(oracle.wm->Insert(name, t).ok());
+      }
+    }
+    const auto expected = CanonicalConflictSet(*oracle.matcher);
+    ASSERT_EQ(expected.size(), 6u);
+
+    // Every disk write fails from here on: the first is a commit's log
+    // force.
+    fault.FailNth(DiskOpKind::kWrite, 0, /*sticky=*/true);
+    for (size_t run = 0; run < expected.size(); ++run) {
+      SCOPED_TRACE("run " + std::to_string(run));
+      ConcurrentRunResult result;
+      Status st = engine.Run(&result);
+      EXPECT_EQ(st.code(), Status::Code::kIOError) << st.ToString();
+      EXPECT_EQ(result.firings, 0u);
+      EXPECT_EQ(IdState(&catalog, classes), before);
+      EXPECT_EQ(locks.LockedResourceCount(), 0u);
+      EXPECT_EQ(CanonicalConflictSet(*matcher), expected);
+    }
+    EXPECT_GE(fault.injected_faults(), expected.size());
+    fault.Disarm();
+  }
 }
 
 }  // namespace

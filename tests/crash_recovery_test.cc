@@ -134,8 +134,8 @@ void RunScript(Catalog* catalog, LockManager* locks, ScriptResult* out,
       continue;
     }
     if (!note(tm.Commit(txn.get()))) return;
-    for (const Transaction::Change& c : txn->changes()) {
-      if (c.inserted) {
+    for (const Delta& c : txn->changes()) {
+      if (c.is_insert()) {
         model[c.id] = c.tuple;
       } else {
         model.erase(c.id);

@@ -136,7 +136,9 @@ TEST(EngineStressTest, SequentialRandomStrategyIsDeterministicPerSeed) {
     while (fired) {
       size_t before = h.catalog->Get("E")->Count();
       EXPECT_TRUE(engine.Step(&fired, &result).ok());
-      if (fired) EXPECT_EQ(h.catalog->Get("E")->Count(), before - 1);
+      if (fired) {
+        EXPECT_EQ(h.catalog->Get("E")->Count(), before - 1);
+      }
     }
     return result.firings;
   };

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -288,6 +289,69 @@ TEST(ServerTest, MalformedFrameRejectedWithoutSessionTeardown) {
   // The session is alive and fully functional after all three.
   EXPECT_TRUE(client.Ping().ok());
   EXPECT_TRUE(client.Load(Program(1)).ok());
+  server.Stop();
+}
+
+TEST(ServerTest, FailedBatchIsUndoneOverTheWire) {
+  RuleServer server(TcpOptions());
+  ASSERT_TRUE(server.Start().ok());
+  RuleClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  ASSERT_TRUE(client.Load(Program(1)).ok());
+
+  WireBatch setup;
+  setup.ops.push_back(Make("C0", 1, 0));
+  setup.ops.push_back(Make("C0", 2, 0));
+  setup.ops.push_back(Make("C0", 3, 1));
+  WireBatchAck ack;
+  ASSERT_TRUE(client.Apply(setup, &ack).ok());
+  ASSERT_EQ(ack.insert_ids.size(), 3u);
+  WireDumpReply before;
+  ASSERT_TRUE(client.DumpClass("C0", &before).ok());
+  ASSERT_EQ(before.tuples.size(), 3u);
+
+  // Remove, modify and make, then remove an id that never existed: the
+  // last op fails, so the whole batch must be undone.
+  WireBatch batch;
+  WireOp rm;
+  rm.kind = kOpRemove;
+  rm.cls = "C0";
+  rm.id = ack.insert_ids[0];
+  batch.ops.push_back(rm);
+  WireOp mod;
+  mod.kind = kOpModify;
+  mod.cls = "C0";
+  mod.id = ack.insert_ids[1];
+  mod.tuple = Tuple{Value(int64_t{2}), Value(int64_t{1})};
+  batch.ops.push_back(mod);
+  batch.ops.push_back(Make("C0", 4, 1));
+  WireOp dead = rm;
+  dead.id = TupleId{12345, 0};
+  batch.ops.push_back(dead);
+  std::string payload;
+  EncodeBatch(batch, &payload);
+  MsgType type;
+  std::string reply;
+  ASSERT_TRUE(client.RoundTrip(MsgType::kBatch, payload, &type, &reply).ok());
+  ASSERT_EQ(type, MsgType::kError);
+  EXPECT_TRUE(DecodeError(reply).IsNotFound());
+
+  // The removed and modified tuples are back under their original ids;
+  // the make and the modify's new tuple are gone.
+  WireDumpReply after;
+  ASSERT_TRUE(client.DumpClass("C0", &after).ok());
+  auto sorted = [](std::vector<std::pair<TupleId, Tuple>> v) {
+    std::sort(v.begin(), v.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return v;
+  };
+  EXPECT_EQ(sorted(after.tuples), sorted(before.tuples));
+
+  // The conflict set saw nothing of the failed batch: only the setup's
+  // ^tag 1 tuple fires.
+  WireRunResult run;
+  ASSERT_TRUE(client.Run(/*concurrent=*/false, &run).ok());
+  EXPECT_EQ(run.firings, 1u);
   server.Stop();
 }
 

@@ -344,7 +344,9 @@ TEST(HeapFileProperty, RandomChurnMatchesReference) {
   ASSERT_TRUE(hf->Scan([&](TupleId id, const Tuple& t) {
                  auto it = reference.find(id);
                  EXPECT_NE(it, reference.end());
-                 if (it != reference.end()) EXPECT_EQ(it->second, t);
+                 if (it != reference.end()) {
+                   EXPECT_EQ(it->second, t);
+                 }
                  ++seen;
                  return Status::OK();
                }).ok());

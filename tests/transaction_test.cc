@@ -56,6 +56,11 @@ TEST_F(TransactionTest, AbortRestoresDelete) {
                  return Status::OK();
                }).ok());
   EXPECT_TRUE(found);
+  // Undo restores the tuple under its original id: conflict-set entries
+  // made before the transaction still reference it.
+  Tuple out;
+  ASSERT_TRUE(rel_->Get(id, &out).ok());
+  EXPECT_EQ(out, (Tuple{Value(7), Value("keep")}));
 }
 
 TEST_F(TransactionTest, UpdateIsDeleteTheInsert) {
@@ -65,8 +70,12 @@ TEST_F(TransactionTest, UpdateIsDeleteTheInsert) {
   TupleId nid;
   ASSERT_TRUE(txn->Update("T", id, Tuple{Value(1), Value("new")}, &nid).ok());
   EXPECT_EQ(txn->changes().size(), 2u);
-  EXPECT_FALSE(txn->changes()[0].inserted);
-  EXPECT_TRUE(txn->changes()[1].inserted);
+  EXPECT_TRUE(txn->changes()[0].is_delete());
+  EXPECT_TRUE(txn->changes()[1].is_insert());
+  // One logical WM event: the two halves are cross-linked.
+  EXPECT_EQ(txn->changes()[0].modify_partner, 1);
+  EXPECT_EQ(txn->changes()[1].modify_partner, 0);
+  EXPECT_EQ(txn->changes()[1].id, nid);
   ASSERT_TRUE(txn_manager_->Commit(txn.get()).ok());
   Tuple out;
   ASSERT_TRUE(rel_->Get(nid, &out).ok());
@@ -119,7 +128,7 @@ TEST_F(TransactionTest, RollbackReportsMultipleFailedUndos) {
   ASSERT_TRUE(txn->Insert("T", Tuple{Value(2), Value("b")}, &t2).ok());
   ASSERT_TRUE(rel_->Delete(t1).ok());
   ASSERT_TRUE(rel_->Delete(t2).ok());
-  Status st = txn->Rollback();
+  Status st = txn_manager_->Abort(txn.get());
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("2 of 2"), std::string::npos)
       << st.ToString();

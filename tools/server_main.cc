@@ -1,6 +1,6 @@
 // prodb_server — the rule-engine server binary.
 //
-//   prodb_server --tcp_port=0 --db=/tmp/wm.db --wal --durable \
+//   prodb_server --tcp_port=0 --db=/tmp/wm.db --wal --durable
 //                --rules=program.ops --matcher=rete
 //
 // Prints one "LISTENING tcp=<port> unix=<path>" line on stdout once the
