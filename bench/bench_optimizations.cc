@@ -5,13 +5,14 @@
 //    beta-prefix sharing in the Rete compiler ([SELL86]/[SELL88]).
 //  * "the Rete Network implements only one possible way of processing a
 //    set of conditions ... Database technology provides more efficient
-//    ways of generating access plans" — the executor's most-selective-
-//    first reordering versus fixed LHS order.
+//    ways of generating access plans" — a JoinPlanner order chosen from
+//    catalog statistics versus fixed LHS order.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "db/executor.h"
+#include "plan/planner.h"
 
 namespace prodb {
 namespace {
@@ -66,7 +67,7 @@ BENCHMARK(BM_Rete_Shared)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Rete_Unshared)->Arg(16)->Arg(64)->Arg(256);
 
 // Plan reordering: a query whose LHS order is pessimal (unselective CE
-// first). The reordering evaluator starts from the constant-bound CE.
+// first). The planned evaluation starts from the small relation.
 void RunReorder(benchmark::State& state, bool reorder) {
   Catalog catalog;
   Relation* rel;
@@ -113,12 +114,29 @@ void RunReorder(benchmark::State& state, bool reorder) {
   q.conditions = {big, small};
   q.num_vars = 1;
 
-  ExecutorOptions opts;
-  opts.reorder = reorder;
-  Executor exec(&catalog, opts);
+  // The planner orders the positive CEs from catalog statistics; the
+  // plan's order reaches the executor as forced_order.
+  std::vector<size_t> order;
+  if (reorder) {
+    CatalogStats stats;
+    stats.Register("Big", catalog.Get("Big"));
+    stats.Register("Small", catalog.Get("Small"));
+    PlannerOptions po;
+    po.enable = true;
+    JoinPlan plan = JoinPlanner(&stats, po).Plan(q);
+    order.assign(plan.order.begin(),
+                 plan.order.begin() +
+                     static_cast<std::ptrdiff_t>(plan.num_positive));
+    if (order.empty() || q.conditions[order[0]].relation != "Small") {
+      bench::Abort(Status::Internal("planner did not put Small first"),
+                   "plan");
+    }
+  }
+  Executor exec(&catalog);
   for (auto _ : state) {
     std::vector<QueryMatch> matches;
-    bench::Abort(exec.Evaluate(q, &matches), "evaluate");
+    bench::Abort(exec.Evaluate(q, &matches, reorder ? &order : nullptr),
+                 "evaluate");
     benchmark::DoNotOptimize(matches.size());
   }
 }

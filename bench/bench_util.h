@@ -69,7 +69,8 @@ inline ShardingOptions DefaultSharding(size_t threads = 0) {
 ///  * "-nodisc": only the constant-test discrimination index off (other
 ///    indexing at defaults), isolating the dispatch-tier contribution.
 ///  * "-shard": partitioned multi-core match (DefaultSharding), the
-///    parallel OnBatch fan-out at defaults otherwise.
+///    parallel OnBatch fan-out at defaults otherwise. The pattern
+///    matcher propagates serially, so it has no "-shard" variant.
 ///  * "-plan": cost-based join planning on (src/plan) — beta chains /
 ///    evaluation orders chosen from catalog statistics, drift-triggered
 ///    re-plans at defaults otherwise.
@@ -144,11 +145,6 @@ inline std::unique_ptr<Matcher> MakeMatcherByName(const std::string& name,
   if (name == "query-shard") {
     return std::make_unique<QueryMatcher>(catalog, ExecutorOptions{},
                                           DefaultSharding());
-  }
-  if (name == "pattern-shard") {
-    PatternMatcherOptions po;
-    po.propagation_threads = DefaultSharding().threads;
-    return std::make_unique<PatternMatcher>(catalog, po);
   }
   if (name == "rete-plan") {
     ReteOptions opts;

@@ -43,14 +43,6 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
       break;
     case MatcherKind::kPattern: {
       PatternMatcherOptions popts;
-      popts.propagation_threads = options_.propagation_threads;
-      // The pattern matcher's per-class COND propagation is already the
-      // sharded fan-out (§4.2.3); the sharding option just sizes it.
-      if (options_.sharding.enabled() && popts.propagation_threads <= 1) {
-        popts.propagation_threads = options_.sharding.threads == 0
-                                        ? options_.sharding.num_shards
-                                        : options_.sharding.threads;
-      }
       popts.cond_storage = options_.wm_storage;
       matcher_ = std::make_unique<PatternMatcher>(catalog_.get(), popts);
       break;

@@ -46,16 +46,15 @@ struct ProductionSystemOptions {
   /// re-loading the same rules file and calling ReseedMatcher(). The
   /// serving layer's restart story.
   bool durable_directory = false;
-  /// Threads for parallel pattern propagation (kPattern only).
-  size_t propagation_threads = 0;
   /// Partitioned multi-core match: shard working memory by class (and by
   /// tuple hash within declared hot classes) and run delta propagation
   /// across shards on a thread pool — the Rete sub-networks, the query
   /// matcher's seeded re-evaluations, and WM batch apply all fan out,
   /// merging deterministically (results are byte-identical to serial at
   /// any thread count). Default-constructed = off, the serial path.
-  /// kPattern translates the option into propagation_threads (its §4.2.3
-  /// per-class fan-out is the paper's own sharding).
+  /// kPattern (the server default) propagates serially whatever this
+  /// says: with it, sharding affects only the sequential engine's WM
+  /// apply, not batches served through the concurrent engine.
   ShardingOptions sharding;
   /// Cost-based join planning from incremental catalog statistics
   /// (kRete/kReteDbms: beta-chain order + drift-triggered rebuilds;

@@ -22,11 +22,6 @@ struct ExecutorOptions {
   /// (§4.1.2's "indexing can be used to efficiently identify the tuples").
   /// Off preserves an index-free baseline for the ablation benchmarks.
   bool declare_rule_indexes = true;
-  /// Reorder positive conditions most-selective-first instead of LHS
-  /// order. The paper argues this flexibility is an advantage of the DBMS
-  /// approach over the Rete network's fixed plan (§3.2, §4.1.2); the
-  /// ablation benchmark compares both settings.
-  bool reorder = false;
   /// Consumed by the matchers driving this executor (not the executor
   /// itself): route per-delta rule dispatch through the constant-test
   /// discrimination index instead of walking every condition element
@@ -58,10 +53,12 @@ class Executor {
   explicit Executor(Catalog* catalog, ExecutorOptions options = {})
       : catalog_(catalog), options_(options) {}
 
-  /// All matches of `query` against current WM contents. When
-  /// `forced_order` is non-null it fixes the positive-condition
-  /// evaluation order (a planner-chosen sequence of positive CE indices;
-  /// must cover every positive CE exactly once) instead of PlanOrder.
+  /// All matches of `query` against current WM contents. Positive
+  /// conditions are joined in LHS order unless `forced_order` is
+  /// non-null: then it fixes the evaluation order (a JoinPlanner-chosen
+  /// sequence of positive CE indices; must cover every positive CE
+  /// exactly once). That freedom to pick any order is the DBMS
+  /// approach's advantage over Rete's fixed plan (§3.2, §4.1.2).
   Status Evaluate(const ConjunctiveQuery& query, std::vector<QueryMatch>* out,
                   const std::vector<size_t>* forced_order = nullptr) const;
 
@@ -119,10 +116,6 @@ class Executor {
   /// tuple (negation-as-absence, §4.2.2).
   Status FilterNegative(const ConditionSpec& cond,
                         std::vector<Partial>* partials) const;
-
-  /// Evaluation order of positive condition indices.
-  std::vector<size_t> PlanOrder(const ConjunctiveQuery& query,
-                                int skip_idx) const;
 
   Catalog* catalog_;
   ExecutorOptions options_;

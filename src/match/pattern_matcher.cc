@@ -9,9 +9,6 @@ PatternMatcher::PatternMatcher(Catalog* catalog,
                                PatternMatcherOptions options)
     : catalog_(catalog), options_(options), executor_(catalog) {
   executor_.set_stats(&stats_);
-  if (options_.propagation_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.propagation_threads);
-  }
 }
 
 PatternMatcher::~PatternMatcher() = default;
@@ -300,50 +297,12 @@ Status PatternMatcher::FlushOps(std::vector<PropagationOp>* ops) {
   if (ops->empty()) return Status::OK();
   stats_.propagations += ops->size();
   Status result;
-  if (pool_ != nullptr && ops->size() > 1) {
-    // Parallel propagation, one task per target class: ops against
-    // different COND relations touch disjoint CondStores, and within a
-    // class the task replays its ops in queue order, so mixed-sign
-    // queues (a -1 undoing an earlier +1 on the same pattern) stay
-    // correctly ordered — the restriction the old per-op fan-out needed
-    // a homogeneous-sign gate for.
-    std::vector<const std::string*> class_order;
-    std::unordered_map<std::string, std::vector<const PropagationOp*>>
-        by_class;
-    for (const PropagationOp& op : *ops) {
-      const std::string& cls =
-          rules_[static_cast<size_t>(op.rule)]
-              .lhs.conditions[static_cast<size_t>(op.target_ce)]
-              .relation;
-      auto [it, fresh] = by_class.try_emplace(cls);
-      if (fresh) class_order.push_back(&it->first);
-      it->second.push_back(&op);
-    }
-    std::vector<Status> group_status(class_order.size());
-    pool_->ParallelFor(class_order.size(), [&](size_t g) {
-      for (const PropagationOp* op : by_class.at(*class_order[g])) {
-        Status st = BumpPattern(op->rule, op->target_ce, op->projected,
-                                op->contributor_ce, op->delta);
-        if (!st.ok()) {
-          group_status[g] = st;
-          return;
-        }
-      }
-    });
-    for (const Status& st : group_status) {
-      if (!st.ok()) {
-        result = st;
-        break;
-      }
-    }
-  } else {
-    for (const PropagationOp& op : *ops) {
-      Status st = BumpPattern(op.rule, op.target_ce, op.projected,
-                              op.contributor_ce, op.delta);
-      if (!st.ok()) {
-        result = st;
-        break;
-      }
+  for (const PropagationOp& op : *ops) {
+    Status st = BumpPattern(op.rule, op.target_ce, op.projected,
+                            op.contributor_ce, op.delta);
+    if (!st.ok()) {
+      result = st;
+      break;
     }
   }
   ops->clear();

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "db/executor.h"
 #include "match/discrimination.h"
 #include "match/matcher.h"
@@ -17,10 +17,6 @@ namespace prodb {
 
 /// Options for the matching-pattern matcher.
 struct PatternMatcherOptions {
-  /// Propagate matching patterns to the COND relations of related classes
-  /// on `threads` worker threads (§4.2.3/§6: "our scheme can be fully
-  /// parallelized"). 0 or 1 = sequential propagation.
-  size_t propagation_threads = 0;
   /// Storage for the COND relations (paged exercises the secondary-
   /// storage path the paper assumes).
   StorageKind cond_storage = StorageKind::kMemory;
@@ -51,8 +47,11 @@ struct PatternMatcherOptions {
 /// rule is satisfiable and the conflict-set instantiations are selected
 /// from the WM relations under the pattern's bindings. Propagation then
 /// inserts narrowed patterns into the COND relations of the related
-/// classes — independently per class, hence parallelizable, unlike the
-/// Rete network's strictly sequential node-by-node token flow.
+/// classes — independently per class, hence parallelizable (§4.2.3),
+/// unlike the Rete network's strictly sequential node-by-node token flow.
+/// Propagation runs serially on the calling thread: a per-class fan-out
+/// measured slower than this loop at every thread count (~2 µs of work
+/// per op against the fork/join cost; EXPERIMENTS.md E16).
 ///
 /// Fidelity note (documented in DESIGN.md): patterns here are
 /// projections of single contributing tuples onto the variables shared
@@ -76,8 +75,7 @@ class PatternMatcher : public Matcher {
   /// negated-CE blockers run once per batch, and pattern counter updates
   /// (±1 bumps) accumulate across consecutive deltas, flushing lazily —
   /// only when a later insert must read pattern support — so delete-heavy
-  /// batches propagate to the COND relations in one (possibly parallel)
-  /// wave (§4.2.3).
+  /// batches propagate to the COND relations in one wave (§4.2.3).
   Status OnBatch(const ChangeSet& batch) override;
 
   ConflictSet& conflict_set() override { return conflict_set_; }
@@ -119,8 +117,8 @@ class PatternMatcher : public Matcher {
   };
 
   /// Per-class pattern store: (rule, ce) -> serialized projection ->
-  /// entry. Guarded per class so parallel propagation to different
-  /// classes never contends.
+  /// entry. Guarded per class: ConcurrentEngine workers call OnBatch
+  /// without a global lock.
   struct CondStore {
     mutable std::mutex mu;
     Relation* cond_rel = nullptr;
@@ -155,9 +153,7 @@ class PatternMatcher : public Matcher {
   Status BumpPattern(int rule, int target_ce, const Binding& projected,
                      int contributor_ce, int delta);
 
-  /// Applies queued ops — on the thread pool when they all carry the same
-  /// sign (per-class mutexes serialize same-class ops, and same-sign
-  /// bumps commute), else sequentially in queue order — and clears them.
+  /// Applies queued ops in queue order and clears them.
   Status FlushOps(std::vector<PropagationOp>* ops);
 
   /// Single pass over the patterns for (rule, ce): true when for every
@@ -183,7 +179,6 @@ class PatternMatcher : public Matcher {
   Relation* rule_def_ = nullptr;
   ConflictSet conflict_set_;
   MatcherStats stats_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace prodb

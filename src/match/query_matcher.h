@@ -36,7 +36,7 @@ class QueryMatcher : public Matcher {
   /// `planner` (when enabled) plans each rule's join sequence from
   /// catalog statistics at AddRule time and re-plans when cardinalities
   /// drift past planner.replan_drift; off, evaluation order is exactly
-  /// the historical PlanOrder path.
+  /// LHS order.
   explicit QueryMatcher(Catalog* catalog, ExecutorOptions exec_options = {},
                         ShardingOptions sharding = {},
                         PlannerOptions planner = {})

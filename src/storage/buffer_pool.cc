@@ -51,7 +51,6 @@ Frame* BufferPool::Victim(Status* status) {
         continue;
       }
       ++stats_.dirty_writebacks;
-      if (unstealable_.count(f->page_id) != 0) ++stats_.pages_stolen;
       f->dirty = false;
       f->rec_lsn = 0;
     }
@@ -69,46 +68,30 @@ Frame* BufferPool::Victim(Status* status) {
 }
 
 Status BufferPool::WritePageWithWalRule(const Frame* f) {
-  if (wal_ != nullptr) {
-    Lsn lsn = PageLsn(f->data);
-    if (lsn > wal_->flushed_lsn()) {
-      PRODB_RETURN_IF_ERROR(wal_->FlushTo(lsn));
-      ++stats_.log_forces;
-    }
+  if (wal_ == nullptr) return disk_->WritePage(f->page_id, f->data);
+  Lsn lsn = PageLsn(f->data);
+  if (lsn > wal_->flushed_lsn()) {
+    PRODB_RETURN_IF_ERROR(wal_->FlushTo(lsn));
+    ++stats_.log_forces;
   }
-  return disk_->WritePage(f->page_id, f->data);
+  PRODB_RETURN_IF_ERROR(disk_->WritePage(f->page_id, f->data));
+  if (lsn > wal_->OldestActiveTxnLsn()) ++stats_.pages_stolen;
+  return Status::OK();
+}
+
+BufferPoolStats BufferPool::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
+void BufferPool::ResetStats() {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = BufferPoolStats{};
 }
 
 void BufferPool::SetWal(LogManager* wal) {
   std::lock_guard<std::mutex> lock(mu_);
   wal_ = wal;
-}
-
-void BufferPool::MarkTxnPage(uint64_t txn_id, uint32_t page_id) {
-  if (txn_id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& pages = txn_pages_[txn_id];
-  for (uint32_t p : pages) {
-    if (p == page_id) return;  // this transaction already holds the page
-  }
-  pages.push_back(page_id);
-  ++unstealable_[page_id];
-}
-
-void BufferPool::ReleaseTxnPages(uint64_t txn_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = txn_pages_.find(txn_id);
-  if (it == txn_pages_.end()) return;
-  for (uint32_t p : it->second) {
-    auto u = unstealable_.find(p);
-    if (u != unstealable_.end() && --u->second <= 0) unstealable_.erase(u);
-  }
-  txn_pages_.erase(it);
-}
-
-size_t BufferPool::TxnDirtyPageCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unstealable_.size();
 }
 
 void BufferPool::NoteLoggedUpdate(Frame* f, uint64_t rec_start_lsn) {
@@ -214,7 +197,6 @@ Status BufferPool::FlushPage(uint32_t page_id) {
   Frame* f = it->second;
   if (f->dirty) {
     PRODB_RETURN_IF_ERROR(WritePageWithWalRule(f));
-    if (unstealable_.count(page_id) != 0) ++stats_.pages_stolen;
     f->dirty = false;
     f->rec_lsn = 0;
   }
@@ -288,7 +270,6 @@ Status BufferPool::FlushPagesDirtyBefore(uint64_t lsn) {
   for (auto& [pid, f] : page_table_) {
     if (f->dirty && f->rec_lsn != 0 && f->rec_lsn - 1 < lsn) {
       PRODB_RETURN_IF_ERROR(WritePageWithWalRule(f));
-      if (unstealable_.count(pid) != 0) ++stats_.pages_stolen;
       f->dirty = false;
       f->rec_lsn = 0;
     }
@@ -301,7 +282,6 @@ Status BufferPool::FlushAll() {
   for (auto& [pid, f] : page_table_) {
     if (f->dirty) {
       PRODB_RETURN_IF_ERROR(WritePageWithWalRule(f));
-      if (unstealable_.count(pid) != 0) ++stats_.pages_stolen;
       f->dirty = false;
       f->rec_lsn = 0;
     }

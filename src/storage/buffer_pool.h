@@ -41,10 +41,14 @@ struct BufferPoolStats {
   uint64_t writeback_failures = 0;
   /// WAL-rule log flushes forced by a page writeback.
   uint64_t log_forces = 0;
-  /// Writebacks of pages dirtied by a still-in-flight transaction
-  /// (steal). Safe because the WAL rule forces the log — including the
-  /// record's inline before-image — before the page reaches disk, so
-  /// restart undo can always roll the transaction back.
+  /// Writebacks of pages that may hold a still-in-flight transaction's
+  /// bytes (steal): the page LSN is past the first record of some
+  /// transaction in the log's active-transaction table. An upper bound —
+  /// it also counts a page whose newer bytes were committed or
+  /// auto-commit — that never misses a steal. Safe because the WAL rule
+  /// forces the log — including the record's inline before-image —
+  /// before the page reaches disk, so restart undo can always roll the
+  /// transaction back.
   uint64_t pages_stolen = 0;
 };
 
@@ -98,8 +102,9 @@ class BufferPool {
   Status VerifyCleanFramesMatchDisk() const;
 
   size_t capacity() const { return frames_.size(); }
-  const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferPoolStats{}; }
+  /// Copy of the counters, taken under the pool latch that guards them.
+  BufferPoolStats stats() const;
+  void ResetStats();
   DiskManager* disk() const { return disk_; }
 
   /// --- Write-ahead logging hooks ---------------------------------------
@@ -109,16 +114,6 @@ class BufferPool {
   /// explicit flush — before the log is durable up to that LSN.
   void SetWal(LogManager* wal);
   LogManager* wal() const { return wal_; }
-
-  /// Steal accounting: marks `page_id` as dirtied by in-flight
-  /// transaction `txn_id`, until ReleaseTxnPages(txn_id) at commit or
-  /// after abort compensation. Unlike the old no-steal rule this no
-  /// longer blocks eviction — undo logging made stealing safe, so a
-  /// transaction's write set may exceed pool capacity — it only
-  /// attributes writebacks of such pages to the pages_stolen counter.
-  void MarkTxnPage(uint64_t txn_id, uint32_t page_id);
-  void ReleaseTxnPages(uint64_t txn_id);
-  size_t TxnDirtyPageCount() const;
 
   /// Records that the WAL record starting at `rec_start_lsn` dirtied
   /// `f` (caller holds the pin). Keeps the frame's first-dirtier LSN for
@@ -137,18 +132,16 @@ class BufferPool {
   /// frame (writing it back if dirty). Returns nullptr if all are pinned.
   Frame* Victim(Status* status);
 
-  /// Flushes the WAL up to `page`'s LSN (no-op without a WAL) and then
-  /// writes the page. Shared by eviction and the flush entry points.
+  /// Flushes the WAL up to `page`'s LSN (no-op without a WAL), writes
+  /// the page, and counts the write in pages_stolen when the page may
+  /// hold an in-flight transaction's bytes. Shared by eviction and the
+  /// flush entry points.
   Status WritePageWithWalRule(const Frame* f);
 
   mutable std::mutex mu_;
   DiskManager* disk_;
   LogManager* wal_ = nullptr;
   std::unique_ptr<DiskManager> owned_disk_;
-  // page id -> number of in-flight transactions that dirtied it, plus the
-  // per-transaction page lists that release those holds.
-  std::unordered_map<uint32_t, int> unstealable_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> txn_pages_;
   std::vector<std::unique_ptr<Frame>> frames_;
   std::unordered_map<uint32_t, Frame*> page_table_;
   std::list<Frame*> lru_;  // front = least recently used; unpinned only

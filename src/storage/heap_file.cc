@@ -39,7 +39,6 @@ void LogAndStamp(BufferPool* pool, Frame* frame, LogRecordType type,
   Lsn lsn = wal->Append(rec, &start);
   SetPageLsn(frame->data, lsn);
   pool->NoteLoggedUpdate(frame, start);
-  if (rec.txn_id != 0) pool->MarkTxnPage(rec.txn_id, rec.page_id);
 }
 
 }  // namespace

@@ -440,9 +440,18 @@ std::vector<uint32_t> LogManager::PageChain() const {
   return pages_;
 }
 
-std::map<uint64_t, Lsn> LogManager::ActiveTxns() const {
+LogManagerStats LogManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return active_txns_;
+  return stats_;
+}
+
+Lsn LogManager::OldestActiveTxnLsn() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Lsn oldest = UINT64_MAX;
+  for (const auto& [txn, first_lsn] : active_txns_) {
+    oldest = std::min(oldest, first_lsn);
+  }
+  return oldest;
 }
 
 uint64_t CurrentWalTxn() { return g_wal_txn; }

@@ -246,9 +246,12 @@ class LogManager {
   /// Copy of the live page chain, in stream order (recovery hands the
   /// post-CLR chain back to the catalog for the final Resume).
   std::vector<uint32_t> PageChain() const;
-  /// Active-transaction table: id -> start LSN of first data record.
-  std::map<uint64_t, Lsn> ActiveTxns() const;
-  const LogManagerStats& stats() const { return stats_; }
+  /// Smallest first-data-record start LSN in the active-transaction
+  /// table, or UINT64_MAX when no transaction is in flight. A page whose
+  /// LSN is past it may hold uncommitted bytes.
+  Lsn OldestActiveTxnLsn() const;
+  /// Copy of the counters, taken under the log latch that guards them.
+  LogManagerStats stats() const;
 
  private:
   LogManager(DiskManager* disk, LogManagerOptions options)

@@ -104,8 +104,7 @@ Status TxnManager::Commit(Transaction* txn) {
     PRODB_RETURN_IF_ERROR(wal->FlushTo(wal->Append(rec)));
   }
   txn->state_ = TxnState::kCommitted;
-  // Durable now: the pages this transaction dirtied may be stolen.
-  Release(txn);
+  locks_->ReleaseAll(txn->id());
   return Status::OK();
 }
 
@@ -154,17 +153,8 @@ Status TxnManager::Abort(Transaction* txn, Status cause,
     rec.txn_id = txn->id();
     wal->Append(rec);
   }
-  // The undo restored pre-transaction state; the pages may reach disk
-  // again.
-  Release(txn);
-  return result.ok() ? cause : result;
-}
-
-void TxnManager::Release(Transaction* txn) {
-  if (catalog_->wal() != nullptr) {
-    catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
-  }
   locks_->ReleaseAll(txn->id());
+  return result.ok() ? cause : result;
 }
 
 }  // namespace prodb

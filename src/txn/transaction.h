@@ -102,7 +102,7 @@ class TxnManager {
   /// before the transaction still reference them — then, when
   /// `maintain` is given, hands that inverse to it (for a transaction
   /// whose ∆ the matcher already saw), appends the abort record, and
-  /// releases page holds and locks. Best-effort: every undo step is
+  /// releases the locks. Best-effort: every undo step is
   /// attempted and the transaction always ends kAborted with its locks
   /// released. Returns what could not be undone (or the inverse's
   /// maintenance error) when anything failed, else `cause` — the failure
@@ -114,9 +114,6 @@ class TxnManager {
   uint64_t started() const { return next_id_.load(); }
 
  private:
-  /// Drops the transaction's buffer-pool page holds and its locks.
-  void Release(Transaction* txn);
-
   Catalog* catalog_;
   LockManager* locks_;
   std::atomic<uint64_t> next_id_{1};

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "db/executor.h"
+#include "matcher_test_util.h"
 
 namespace prodb {
 namespace {
@@ -54,20 +55,17 @@ class ExecutorPlanTest : public ::testing::Test {
   Catalog catalog_;
 };
 
-TEST_F(ExecutorPlanTest, ReorderEqualsFixedOrderResults) {
-  ExecutorOptions fixed, reordering;
-  reordering.reorder = true;
-  Executor a(&catalog_, fixed), b(&catalog_, reordering);
-  std::vector<QueryMatch> ma, mb;
-  ASSERT_TRUE(a.Evaluate(PessimalOrderQuery(), &ma).ok());
-  ASSERT_TRUE(b.Evaluate(PessimalOrderQuery(), &mb).ok());
-  EXPECT_EQ(ma.size(), mb.size());
-  EXPECT_EQ(ma.size(), 25u);  // 5 small keys × 5 Big tuples per key
+TEST_F(ExecutorPlanTest, EveryOrderEqualsLhsOrderResults) {
+  Executor exec(&catalog_);
+  // 5 small keys × 5 Big tuples per key, whichever relation joins first.
+  EXPECT_EQ(ExpectEveryPositiveOrderAgrees(exec, PessimalOrderQuery()), 25u);
 }
 
-TEST_F(ExecutorPlanTest, ReorderRespectsNonEqBinderDependencies) {
-  // CE0 tests v < <m> where <m> is bound by CE1; reorder must keep CE1
-  // (the binder) before CE0 even though CE0 has "more" constant tests.
+TEST_F(ExecutorPlanTest, OrderedComparisonBeforeBinderAgreesInEveryOrder) {
+  // CE0 tests v < <m> where <m> is bound by CE1. In LHS order (and with
+  // CE0 as the seed) the comparison comes before its binder, and the
+  // executor settles it as a deferred test once CE1 binds <m>; with CE1
+  // forced first it is checked directly. Every order must agree.
   ConjunctiveQuery q;
   ConditionSpec tested;
   tested.relation = "Big";
@@ -81,35 +79,30 @@ TEST_F(ExecutorPlanTest, ReorderRespectsNonEqBinderDependencies) {
   q.conditions = {tested, binder};
   q.num_vars = 1;
 
-  // In LHS order the non-eq test defers until the binder arrives; with
-  // reordering the binder is forced first. Both must agree.
-  ExecutorOptions fixed, reordering;
-  reordering.reorder = true;
-  std::vector<QueryMatch> ma, mb;
-  ASSERT_TRUE(Executor(&catalog_, fixed).Evaluate(q, &ma).ok());
-  ASSERT_TRUE(Executor(&catalog_, reordering).Evaluate(q, &mb).ok());
-  EXPECT_EQ(ma.size(), mb.size());
-  EXPECT_GT(ma.size(), 0u);
+  Executor exec(&catalog_);
+  EXPECT_GT(ExpectEveryPositiveOrderAgrees(exec, q), 0u);
+
+  std::vector<std::pair<TupleId, Tuple>> big;
+  ASSERT_TRUE(catalog_.Get("Big")->Select(Selection{}, &big).ok());
+  ASSERT_FALSE(big.empty());
+  // Seeded on a Big row: one match per Small key k (0..4) with v < k.
+  for (const auto& [id, row] : big) {
+    const int64_t v = row[1].as_int();
+    if (v > 4) continue;
+    EXPECT_EQ(ExpectEveryPositiveOrderAgrees(exec, q, 0, id, row),
+              static_cast<size_t>(4 - v));
+  }
 }
 
-TEST_F(ExecutorPlanTest, SeededPlusReorderAgree) {
+TEST_F(ExecutorPlanTest, SeededEveryOrderAgrees) {
   Relation* small = catalog_.Get("Small");
   std::vector<std::pair<TupleId, Tuple>> rows;
   ASSERT_TRUE(small->Select(Selection{}, &rows).ok());
   ASSERT_FALSE(rows.empty());
-  ExecutorOptions reordering;
-  reordering.reorder = true;
-  Executor fixed(&catalog_), opt(&catalog_, reordering);
-  std::vector<QueryMatch> ma, mb;
-  ASSERT_TRUE(fixed
-                  .EvaluateSeeded(PessimalOrderQuery(), 1, rows[0].first,
-                                  rows[0].second, &ma)
-                  .ok());
-  ASSERT_TRUE(opt.EvaluateSeeded(PessimalOrderQuery(), 1, rows[0].first,
-                                 rows[0].second, &mb)
-                  .ok());
-  EXPECT_EQ(ma.size(), mb.size());
-  EXPECT_EQ(ma.size(), 5u);
+  Executor exec(&catalog_);
+  EXPECT_EQ(ExpectEveryPositiveOrderAgrees(exec, PessimalOrderQuery(), 1,
+                                           rows[0].first, rows[0].second),
+            5u);
 }
 
 TEST_F(ExecutorPlanTest, EmptyRelationShortCircuits) {

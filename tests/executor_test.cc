@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "matcher_test_util.h"
+
 namespace prodb {
 namespace {
 
@@ -176,29 +178,18 @@ TEST_F(ExecutorTest, EvaluateBoundRestrictsVariables) {
   EXPECT_EQ(matches[0].tuples[0][0], Value("Ann"));
 }
 
-TEST_F(ExecutorTest, ReorderProducesSameMatches) {
+TEST_F(ExecutorTest, EveryPositiveOrderProducesSameMatches) {
   for (int i = 0; i < 20; ++i) {
     AddEmp("E" + std::to_string(i), 100 + i, i % 4, "Sam");
   }
-  AddDept(2, "Toy", 1);
-  Executor plain(&catalog_);
-  ExecutorOptions opts;
-  opts.reorder = true;
-  Executor reordering(&catalog_, opts);
-  std::vector<QueryMatch> a, b;
-  ASSERT_TRUE(plain.Evaluate(ToyFloorOneQuery(), &a).ok());
-  ASSERT_TRUE(reordering.Evaluate(ToyFloorOneQuery(), &b).ok());
-  ASSERT_EQ(a.size(), b.size());
-  // Same tuple-id combinations regardless of plan.
-  auto key = [](const QueryMatch& m) {
-    std::string k;
-    for (auto id : m.tuple_ids) k += id.ToString();
-    return k;
-  };
-  std::multiset<std::string> ka, kb;
-  for (const auto& m : a) ka.insert(key(m));
-  for (const auto& m : b) kb.insert(key(m));
-  EXPECT_EQ(ka, kb);
+  TupleId toy = AddDept(2, "Toy", 1);
+  Executor exec(&catalog_);
+  // Same tuple-id combinations regardless of plan: E2, E6, E10, E14, E18.
+  EXPECT_EQ(ExpectEveryPositiveOrderAgrees(exec, ToyFloorOneQuery()), 5u);
+  EXPECT_EQ(ExpectEveryPositiveOrderAgrees(
+                exec, ToyFloorOneQuery(), 1, toy,
+                Tuple{Value(2), Value("Toy"), Value(1)}),
+            5u);
 }
 
 TEST_F(ExecutorTest, IndexProbeMatchesScan) {
@@ -250,6 +241,7 @@ TEST_F(ExecutorTest, ThreeWayJoinChainsBindings) {
   ASSERT_TRUE(exec.Evaluate(q, &matches).ok());
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(*matches[0].binding[1], Value("Sam"));
+  EXPECT_EQ(ExpectEveryPositiveOrderAgrees(exec, q), 1u);  // all 6 orders
 }
 
 TEST_F(ExecutorTest, MissingRelationReported) {

@@ -145,12 +145,6 @@ std::vector<MatcherCase> AllMatchers() {
          return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
                                                TestSharding());
        }},
-      {"pattern-shard",
-       [](Catalog* c) {
-         PatternMatcherOptions po;
-         po.propagation_threads = 2;
-         return std::make_unique<PatternMatcher>(c, po);
-       }},
       {"rete-shard",
        [](Catalog* c) {
          ReteOptions opts;

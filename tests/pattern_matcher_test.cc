@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "matcher_test_util.h"
 #include "workload/paper_examples.h"
 
@@ -158,38 +157,6 @@ TEST_F(PatternMatcherTest, RuleDefSyncReflectsSatisfaction) {
                   })
                   .ok());
   EXPECT_EQ(set_bits, 1);  // only CE 1 (class A) satisfied
-}
-
-TEST_F(PatternMatcherTest, ParallelPropagationMatchesSequential) {
-  PatternMatcherOptions par;
-  par.propagation_threads = 4;
-  Load(kThreeWayJoin, par);
-  MatcherHarness seq;
-  ASSERT_TRUE(seq.Init(kThreeWayJoin,
-                       [](Catalog* c) {
-                         return std::make_unique<PatternMatcher>(c);
-                       })
-                  .ok());
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const char* classes[] = {"A", "B", "C"};
-    size_t c = rng.Uniform(3);
-    Tuple t;
-    if (c == 0) {
-      t = Tuple{Value(static_cast<int64_t>(rng.Uniform(5))), Value("a"),
-                Value(static_cast<int64_t>(rng.Uniform(5)))};
-    } else if (c == 1) {
-      t = Tuple{Value(static_cast<int64_t>(rng.Uniform(5))),
-                Value(static_cast<int64_t>(rng.Uniform(5))), Value("b")};
-    } else {
-      t = Tuple{Value("c"), Value(static_cast<int64_t>(rng.Uniform(5))),
-                Value(static_cast<int64_t>(rng.Uniform(5)))};
-    }
-    ASSERT_TRUE(wm().Insert(classes[c], t).ok());
-    ASSERT_TRUE(seq.wm->Insert(classes[c], t).ok());
-  }
-  EXPECT_EQ(CanonicalConflictSet(*harness_.matcher),
-            CanonicalConflictSet(*seq.matcher));
 }
 
 TEST_F(PatternMatcherTest, PagedCondStorageWorks) {

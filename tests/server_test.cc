@@ -506,6 +506,67 @@ TEST(ServerTest, DurableAckAndEmptyBatchBarrier) {
   std::filesystem::remove(db);
 }
 
+// kStats reads the WAL and buffer-pool counters while another session
+// commits batches whose heap writes append log records and, through a
+// small pool, evict pages. Each counter must be copied under its owner's
+// latch: under TSan an unlatched read here is a reported race.
+TEST(ServerTest, DurableStatsPollDuringCommits) {
+  std::string db = TempPath("prodb_srv_statspoll_");
+  std::filesystem::remove(db);
+  RuleServerOptions opts = TcpOptions();
+  opts.system.wm_storage = StorageKind::kPaged;
+  opts.system.buffer_pool_frames = 4;
+  opts.system.db_path = db;
+  opts.system.enable_wal = true;
+  opts.system.durable_directory = true;
+  RuleServer server(opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  RuleClient writer, poller;
+  ASSERT_TRUE(writer.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  ASSERT_TRUE(poller.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  ASSERT_TRUE(writer.Load(Program(1)).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> polls{0};
+  std::atomic<bool> poll_failed{false};
+  std::thread poll([&] {
+    while (!done.load()) {
+      WireStatsReply stats;
+      if (!poller.GetStats(&stats).ok()) {
+        poll_failed = true;
+        return;
+      }
+      ++polls;
+    }
+  });
+  size_t applied = 0;
+  for (int b = 0; b < 60; ++b) {
+    WireBatch batch;
+    for (int k = 0; k < 8; ++k) {
+      batch.ops.push_back(Make("C0", b * 8 + k, k % 2));
+    }
+    WireBatchAck ack;
+    if (!writer.Apply(batch, &ack).ok() || !ack.durable) break;
+    ++applied;
+  }
+  done = true;
+  poll.join();
+  EXPECT_EQ(applied, 60u);
+  EXPECT_FALSE(poll_failed.load());
+  EXPECT_GT(polls.load(), 0u);
+
+  WireStatsReply stats;
+  ASSERT_TRUE(poller.GetStats(&stats).ok());
+  uint64_t records = 0;
+  for (const auto& [k, v] : stats.counters) {
+    if (k == "wal_records_appended") records = v;
+  }
+  EXPECT_GE(records, 60u * 8u);
+  server.Stop();
+  std::filesystem::remove(db);
+}
+
 TEST(ServerTest, ShardingAndPlannerPlumbedThrough) {
   RuleServerOptions opts = TcpOptions();
   opts.system.matcher = MatcherKind::kRete;

@@ -273,15 +273,13 @@ TEST(WalBufferPoolTest, StealWritesTxnDirtyPagesAfterLogForce) {
   SetPageLsn(f->data, lsn);
   pool.NoteLoggedUpdate(f, start);
   ASSERT_TRUE(pool.UnpinPage(pa, /*dirty=*/true).ok());
-  pool.MarkTxnPage(7, pa);
-  pool.MarkTxnPage(7, pa);  // idempotent per transaction
-  EXPECT_EQ(pool.TxnDirtyPageCount(), 1u);
   // The first append of a fresh log starts at LSN 0 and must still count
   // as a redo constraint (not read as "clean").
   EXPECT_EQ(pool.MinDirtyRecLsn(), start);
 
   // Eviction pressure steals the page: with one frame and the log not
-  // yet flushed, NewPage must force the log and write the held page.
+  // yet flushed, NewPage must force the log and write the page. Txn 7 is
+  // still in the log's active-transaction table, so the writeback counts.
   EXPECT_EQ(wal->flushed_lsn(), 0u);
   uint32_t pb;
   ASSERT_TRUE(pool.NewPage(&pb, &f).ok());
@@ -291,11 +289,24 @@ TEST(WalBufferPoolTest, StealWritesTxnDirtyPagesAfterLogForce) {
   char buf[kPageSize];
   ASSERT_TRUE(pool.disk()->ReadPage(pa, buf).ok());
   EXPECT_EQ(buf[100], 't');  // the uncommitted bytes reached disk
-  ASSERT_TRUE(pool.UnpinPage(pb, /*dirty=*/false).ok());
+  InitHeapPage(f->data);
+  rec.txn_id = 0;  // auto-commit: never an in-flight transaction's bytes
+  rec.page_id = pb;
+  Lsn pb_lsn = wal->Append(rec);
+  SetPageLsn(f->data, pb_lsn);
+  ASSERT_TRUE(pool.UnpinPage(pb, /*dirty=*/true).ok());
 
-  // Commit releases the steal-accounting hold.
-  pool.ReleaseTxnPages(7);
-  EXPECT_EQ(pool.TxnDirtyPageCount(), 0u);
+  // Once txn 7 commits, a writeback of a page dirtied only by txn 0 is
+  // not a steal, even though its LSN is past txn 7's first record.
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn_id = 7;
+  wal->Append(commit);
+  pool.ResetStats();
+  ASSERT_TRUE(pool.FlushPage(pb).ok());
+  ASSERT_TRUE(pool.disk()->ReadPage(pb, buf).ok());
+  EXPECT_EQ(PageLsn(buf), pb_lsn);  // the page did reach disk
+  EXPECT_EQ(pool.stats().pages_stolen, 0u);
 }
 
 TEST(WalRedoTest, PlaceRecordAtSlotGrowsDirectoryWithDeadSlots) {

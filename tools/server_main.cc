@@ -39,7 +39,10 @@ int Usage(const char* argv0) {
       "          [--db=PATH] [--open_existing] [--wal] [--durable]\n"
       "          [--rules=FILE] [--matcher=rete|rete-dbms|query|pattern]\n"
       "          [--shards=N] [--shard_threads=N] [--planner]\n"
-      "          [--workers=N] [--frames=N] [--no_load]\n",
+      "          [--workers=N] [--frames=N] [--no_load]\n"
+      "  --shards shards the rete, rete-dbms and query matchers; with\n"
+      "  the pattern matcher (the default) served batches are not\n"
+      "  sharded, only the sequential engine's WM apply is.\n",
       argv0);
   return 2;
 }
