@@ -1,21 +1,23 @@
-// E16 — Sharded multi-core match: core-count scaling sweep (replaces the
-// E5 pattern-matcher-only fan-out bench).
+// E16 — Multi-core match: core-count scaling sweep of the query
+// matcher, the one matcher whose parallel path pays (replaces the E5
+// pattern-matcher-only fan-out bench).
 //
-// Working memory is partitioned into 8 shards; each benchmark preloads a
-// star workload (1e5 or 1e6 WMEs) through batched Apply, then measures
-// batched churn (1024 mixed deltas per iteration, half of them crafted
-// to match) at 1, 2, 4, and 8 worker threads. Serial baselines run the same
-// churn on the unsharded matchers. Per-shard routing counters and the
-// shard-imbalance ratio are emitted as benchmark counters.
+// Each benchmark preloads a star workload (1e5 or 1e6 WMEs) through
+// batched Apply, then measures batched churn (1024 mixed deltas per
+// iteration, half of them crafted to match). The sharded query matcher
+// splits a batch's seeded evaluations over 8 shards at 1, 2, 4, and 8
+// worker threads; the serial rows run the same churn on the serial
+// matchers. Per-shard counters and the shard-imbalance ratio are emitted
+// as benchmark counters.
 //
 // Thread counts above the machine's core count oversubscribe — results
-// are still byte-identical (the ordered merge guarantees it); only the
+// are still byte-identical (the ordered commit guarantees it); only the
 // wall-clock is then meaningless as a scaling signal. CI runners have a
 // handful of vCPUs; see EXPERIMENTS.md E16 for interpretation.
 //
-// The DBMS-backed Rete is absent by design: its shards execute serially
-// (token movements share the catalog/WAL stack), so a thread sweep does
-// not apply.
+// Rete and the pattern matcher propagate serially: their parallel paths
+// were slower than serial at every thread count (EXPERIMENTS.md E16) and
+// were deleted.
 
 #include <benchmark/benchmark.h>
 
@@ -48,12 +50,10 @@ WorkloadSpec StarSpec(size_t wmes) {
   return spec;
 }
 
-ShardingOptions Sharding(size_t threads,
-                         std::vector<std::string> hot = {}) {
+ShardingOptions Sharding(size_t threads) {
   ShardingOptions so;
   so.num_shards = kShards;
   so.threads = threads;
-  so.hot_classes = std::move(hot);
   return so;
 }
 
@@ -78,18 +78,13 @@ void PreloadBatched(bench::Setup& setup, size_t wmes, uint64_t seed) {
 /// deltas — alternating inserts (half crafted to pass a random rule CE's
 /// constant test, so real join work flows) and deletes of earlier churn
 /// tuples, keeping WM size steady.
-void Churn(benchmark::State& state, bench::Setup& setup, size_t skew_class) {
+void Churn(benchmark::State& state, bench::Setup& setup) {
   const size_t classes = setup.gen.spec().num_classes;
-  const bool skew = skew_class < classes;
-  const std::string skew_name = setup.gen.ClassName(skew ? skew_class : 0);
-  // (rule, ce) pairs the matched-insert half draws from; under skew only
-  // CEs over the skew class qualify so every delta lands on one class.
+  // (rule, ce) pairs the matched-insert half draws from.
   std::vector<std::pair<size_t, size_t>> targets;
   for (size_t r = 0; r < setup.rules.size(); ++r) {
     const auto& conds = setup.rules[r].lhs.conditions;
-    for (size_t c = 0; c < conds.size(); ++c) {
-      if (!skew || conds[c].relation == skew_name) targets.emplace_back(r, c);
-    }
+    for (size_t c = 0; c < conds.size(); ++c) targets.emplace_back(r, c);
   }
   Rng rng(4242);
   std::deque<std::pair<std::string, TupleId>> live;
@@ -109,8 +104,7 @@ void Churn(benchmark::State& state, bench::Setup& setup, size_t skew_class) {
           cls = setup.rules[r].lhs.conditions[ce].relation;
           t = setup.gen.MatchingTuple(setup.rules[r], ce, &rng);
         } else {
-          cls = skew ? skew_name
-                     : setup.gen.ClassName(rng.Uniform(classes));
+          cls = setup.gen.ClassName(rng.Uniform(classes));
           t = setup.gen.RandomTuple(&rng);
         }
         TupleId id;
@@ -139,16 +133,9 @@ void Churn(benchmark::State& state, bench::Setup& setup, size_t skew_class) {
 }
 
 void RunSweep(benchmark::State& state, const std::string& matcher_kind,
-              size_t wmes, size_t threads, bool skew) {
+              size_t wmes, size_t threads) {
   auto setup = bench::MakeSetup(StarSpec(wmes), [&](Catalog* c)
                                     -> std::unique_ptr<Matcher> {
-    if (matcher_kind == "rete-shard") {
-      ReteOptions opts;
-      opts.sharding =
-          Sharding(threads, skew ? std::vector<std::string>{"C0"}
-                                 : std::vector<std::string>{});
-      return std::make_unique<ReteNetwork>(c, opts);
-    }
     if (matcher_kind == "rete") {
       return std::make_unique<ReteNetwork>(c);
     }
@@ -162,36 +149,17 @@ void RunSweep(benchmark::State& state, const std::string& matcher_kind,
     // pattern: serial per-class COND propagation.
     return std::make_unique<PatternMatcher>(c);
   });
-  Status sharding_st = setup->wm->ConfigureSharding(
-      matcher_kind == "rete-shard" || matcher_kind == "query-shard"
-          ? Sharding(threads)
-          : ShardingOptions{});
-  (void)sharding_st;
   PreloadBatched(*setup, wmes, 3);
-  Churn(state, *setup,
-        skew ? 0 : setup->gen.spec().num_classes /* no skew */);
+  Churn(state, *setup);
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["wmes"] = static_cast<double>(wmes);
 }
 
-// --- Sharded Rete: the headline sweep ---------------------------------
-void BM_ShardScalingRete(benchmark::State& state) {
-  RunSweep(state, "rete-shard", static_cast<size_t>(state.range(0)),
-           static_cast<size_t>(state.range(1)), /*skew=*/false);
-}
-BENCHMARK(BM_ShardScalingRete)
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({100000, 8})
-    ->Args({1000000, 1})
-    ->Args({1000000, 8})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
+// --- Rete: serial only -----------------------------------------------
+// Its partitioned network was slower than this serial row at every
+// thread count, the inline 1-thread case included (EXPERIMENTS.md E16).
 void BM_SerialRete(benchmark::State& state) {
-  RunSweep(state, "rete", static_cast<size_t>(state.range(0)), 1,
-           /*skew=*/false);
+  RunSweep(state, "rete", static_cast<size_t>(state.range(0)), 1);
 }
 BENCHMARK(BM_SerialRete)
     ->Arg(100000)
@@ -199,22 +167,10 @@ BENCHMARK(BM_SerialRete)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Skewed churn (every delta on class C0, declared hot): head-tuple hash
-// partitioning spreads one class's deltas across all shards.
-void BM_HotSkewRete(benchmark::State& state) {
-  RunSweep(state, "rete-shard", 100000,
-           static_cast<size_t>(state.range(0)), /*skew=*/true);
-}
-BENCHMARK(BM_HotSkewRete)
-    ->Arg(1)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // --- Sharded query matcher --------------------------------------------
 void BM_ShardScalingQuery(benchmark::State& state) {
   RunSweep(state, "query-shard", 100000,
-           static_cast<size_t>(state.range(0)), /*skew=*/false);
+           static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_ShardScalingQuery)
     ->Arg(1)
@@ -225,7 +181,7 @@ BENCHMARK(BM_ShardScalingQuery)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SerialQuery(benchmark::State& state) {
-  RunSweep(state, "query", 100000, 1, /*skew=*/false);
+  RunSweep(state, "query", 100000, 1);
 }
 BENCHMARK(BM_SerialQuery)->UseRealTime()->Unit(benchmark::kMillisecond);
 
@@ -235,7 +191,7 @@ BENCHMARK(BM_SerialQuery)->UseRealTime()->Unit(benchmark::kMillisecond);
 // "/1" name so the bench gate still compares it with older baselines.
 void BM_ShardScalingPattern(benchmark::State& state) {
   RunSweep(state, "pattern", 100000,
-           static_cast<size_t>(state.range(0)), /*skew=*/false);
+           static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_ShardScalingPattern)
     ->Arg(1)

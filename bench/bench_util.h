@@ -68,9 +68,9 @@ inline ShardingOptions DefaultSharding(size_t threads = 0) {
 ///    the full linear-walk baseline for the indexing benchmarks.
 ///  * "-nodisc": only the constant-test discrimination index off (other
 ///    indexing at defaults), isolating the dispatch-tier contribution.
-///  * "-shard": partitioned multi-core match (DefaultSharding), the
-///    parallel OnBatch fan-out at defaults otherwise. The pattern
-///    matcher propagates serially, so it has no "-shard" variant.
+///  * "-shard": the query matcher's multi-core seeded evaluation
+///    (DefaultSharding), at defaults otherwise. Rete and the pattern
+///    matcher propagate serially, so they have no "-shard" variant.
 ///  * "-plan": cost-based join planning on (src/plan) — beta chains /
 ///    evaluation orders chosen from catalog statistics, drift-triggered
 ///    re-plans at defaults otherwise.
@@ -129,17 +129,6 @@ inline std::unique_ptr<Matcher> MakeMatcherByName(const std::string& name,
     ReteOptions opts;
     opts.dbms_backed = true;
     opts.discriminate_alpha = false;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-shard") {
-    ReteOptions opts;
-    opts.sharding = DefaultSharding();
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-dbms-shard") {
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    opts.sharding = DefaultSharding();
     return std::make_unique<ReteNetwork>(catalog, opts);
   }
   if (name == "query-shard") {

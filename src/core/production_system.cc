@@ -21,7 +21,6 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
   switch (options_.matcher) {
     case MatcherKind::kRete: {
       ReteOptions ropts;
-      ropts.sharding = options_.sharding;
       ropts.planner = options_.planner;
       matcher_ = std::make_unique<ReteNetwork>(catalog_.get(), ropts);
       break;
@@ -30,7 +29,6 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
       ReteOptions ropts;
       ropts.dbms_backed = true;
       ropts.memory_storage = options_.wm_storage;
-      ropts.sharding = options_.sharding;
       ropts.planner = options_.planner;
       matcher_ = std::make_unique<ReteNetwork>(catalog_.get(), ropts);
       break;
@@ -55,11 +53,6 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
   sopts.max_firings = options_.max_firings;
   engine_ = std::make_unique<SequentialEngine>(catalog_.get(), matcher_.get(),
                                                sopts);
-  // Pre-load by construction — nothing has flowed through this WM yet,
-  // so the mid-stream guard cannot fire.
-  Status sharding_st =
-      engine_->working_memory().ConfigureSharding(options_.sharding);
-  (void)sharding_st;
 
   locks_ = std::make_unique<LockManager>();
   ConcurrentEngineOptions ccopts;

@@ -46,15 +46,11 @@ struct ProductionSystemOptions {
   /// re-loading the same rules file and calling ReseedMatcher(). The
   /// serving layer's restart story.
   bool durable_directory = false;
-  /// Partitioned multi-core match: shard working memory by class (and by
-  /// tuple hash within declared hot classes) and run delta propagation
-  /// across shards on a thread pool — the Rete sub-networks, the query
-  /// matcher's seeded re-evaluations, and WM batch apply all fan out,
-  /// merging deterministically (results are byte-identical to serial at
-  /// any thread count). Default-constructed = off, the serial path.
-  /// kPattern (the server default) propagates serially whatever this
-  /// says: with it, sharding affects only the sequential engine's WM
-  /// apply, not batches served through the concurrent engine.
+  /// Multi-core match for kQuery only: a batch's seeded re-evaluations
+  /// run across `sharding.num_shards` tasks on a thread pool and commit
+  /// in the serial order, so results are byte-identical to serial at any
+  /// thread count. Default-constructed = off, the serial path. Every
+  /// other matcher propagates serially and ignores this.
   ShardingOptions sharding;
   /// Cost-based join planning from incremental catalog statistics
   /// (kRete/kReteDbms: beta-chain order + drift-triggered rebuilds;

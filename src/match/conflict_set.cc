@@ -43,25 +43,6 @@ bool ConflictSet::Remove(const Instantiation& inst) {
   return RemoveByKey(inst.Key());
 }
 
-void ConflictSet::ApplyOps(ConflictOpBuffer* buf) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (ConflictOpBuffer::Op& op : buf->ops_) {
-    if (op.add) {
-      std::string key = op.inst.Key();
-      if (items_.count(key)) continue;
-      op.inst.recency = next_recency_++;
-      auto [it, inserted] = items_.emplace(std::move(key), std::move(op.inst));
-      ++total_added_;
-      NotifyLocked(/*added=*/true, it->first, &it->second);
-    } else {
-      if (items_.erase(op.key) > 0) {
-        NotifyLocked(/*added=*/false, op.key, nullptr);
-      }
-    }
-  }
-  buf->clear();
-}
-
 bool ConflictSet::RemoveByKey(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   if (items_.erase(key) == 0) return false;

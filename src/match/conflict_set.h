@@ -32,34 +32,6 @@ struct Instantiation {
   std::string ToString() const;
 };
 
-/// An ordered log of conflict-set mutations produced while the real set
-/// is out of reach — each match shard records its adds/removes here and
-/// the barrier replays the buffers into the one ConflictSet in fixed
-/// shard order, so recency stamps are independent of thread count and
-/// completion order. Single-writer; not internally locked.
-class ConflictOpBuffer {
- public:
-  void Add(Instantiation inst) {
-    ops_.push_back(Op{/*add=*/true, std::move(inst), {}});
-  }
-  void RemoveByKey(std::string key) {
-    ops_.push_back(Op{/*add=*/false, {}, std::move(key)});
-  }
-
-  size_t size() const { return ops_.size(); }
-  bool empty() const { return ops_.empty(); }
-  void clear() { ops_.clear(); }
-
- private:
-  friend class ConflictSet;
-  struct Op {
-    bool add;
-    Instantiation inst;  // add
-    std::string key;     // remove
-  };
-  std::vector<Op> ops_;
-};
-
 /// The conflict set: satisfied instantiations keyed for O(log n) dedup
 /// and removal. All matchers maintain one of these; the execution engine
 /// drains it. Thread-safe (concurrent execution mutates it from worker
@@ -88,11 +60,6 @@ class ConflictSet {
   /// Removes the exact instantiation. Returns true if present.
   bool Remove(const Instantiation& inst);
   bool RemoveByKey(const std::string& key);
-
-  /// Replays a buffered op sequence in order under one lock acquisition,
-  /// with the same semantics the ops would have had applied directly
-  /// (dedup, recency stamping, total_added accounting). Clears `buf`.
-  void ApplyOps(ConflictOpBuffer* buf);
 
   /// Removes every instantiation of rule `rule_index` that references
   /// tuple `id` of relation handled by the caller. The caller supplies

@@ -341,16 +341,15 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
     return it != deleted.end() && it->second.count(d.id) > 0;
   };
   // One seeded evaluation per (insert, candidate CE). Sharded, the pairs
-  // are collected first (dispatch accounting stays serial), partitioned
-  // by the seed tuple's shard, evaluated concurrently into per-pair
-  // buffers — evaluation is read-only against post-batch WM — and
-  // committed in collection order, so conflict-set contents and recency
-  // stamps are byte-identical to the serial path.
+  // are collected first (dispatch accounting stays serial), split by
+  // collection index (seed i -> task i % num_shards), evaluated
+  // concurrently into per-pair buffers — evaluation is read-only against
+  // post-batch WM — and committed in collection order, so conflict-set
+  // contents and recency stamps are byte-identical to the serial path.
   struct SeedItem {
     const Delta* d;
     int rule;
     int ce;
-    size_t shard;
     std::vector<Instantiation> insts;
     Status st;
   };
@@ -365,17 +364,16 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
       const CeRef& ref = pit->second[pos];
       if (counted.insert({&pit->first, pos}).second) ++stats_.propagations;
       if (sharded) {
-        seeds.push_back(
-            SeedItem{&d, ref.rule, ref.ce, shard_map_.Route(d), {}, {}});
+        seeds.push_back(SeedItem{&d, ref.rule, ref.ce, {}, {}});
       } else {
         PRODB_RETURN_IF_ERROR(SeedAndAdd(ref.rule, ref.ce, d.id, d.tuple));
       }
     }
   }
   if (!seeds.empty()) {
-    std::vector<std::vector<size_t>> by_shard(shard_map_.num_shards());
+    std::vector<std::vector<size_t>> by_shard(sharding_.num_shards);
     for (size_t i = 0; i < seeds.size(); ++i) {
-      by_shard[seeds[i].shard].push_back(i);
+      by_shard[i % by_shard.size()].push_back(i);
     }
     std::vector<std::chrono::steady_clock::time_point> done_at(
         by_shard.size());
@@ -441,7 +439,7 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
     std::vector<int> reeval_rules(reeval.begin(), reeval.end());
     std::vector<std::vector<Instantiation>> results(reeval_rules.size());
     std::vector<Status> sts(reeval_rules.size());
-    std::vector<std::vector<size_t>> by_shard(shard_map_.num_shards());
+    std::vector<std::vector<size_t>> by_shard(sharding_.num_shards);
     for (size_t i = 0; i < reeval_rules.size(); ++i) {
       by_shard[static_cast<size_t>(reeval_rules[i]) % by_shard.size()]
           .push_back(i);

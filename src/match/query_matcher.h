@@ -28,10 +28,10 @@ namespace prodb {
 /// joins are re-computed — exactly the cost §4.2 sets out to remove.
 class QueryMatcher : public Matcher {
  public:
-  /// `sharding` (when enabled) partitions a batch's seeded re-evaluations
-  /// across WM shards and runs them on a thread pool; conflict-set
-  /// commits stay in delta order, so results and recency stamps are
-  /// byte-identical to the serial path. Evaluation is read-only against
+  /// `sharding` (when enabled) splits a batch's seeded re-evaluations
+  /// into `num_shards` tasks (seed i goes to task i % num_shards) and runs
+  /// them on a thread pool; conflict-set commits stay in delta order, so
+  /// results and recency stamps are byte-identical to the serial path. Evaluation is read-only against
   /// post-batch WM, which is what makes the fan-out safe.
   /// `planner` (when enabled) plans each rule's join sequence from
   /// catalog statistics at AddRule time and re-plans when cardinalities
@@ -43,14 +43,13 @@ class QueryMatcher : public Matcher {
       : catalog_(catalog),
         executor_(catalog, exec_options),
         planner_(&cat_stats_, planner),
-        sharding_(sharding),
-        shard_map_(sharding) {
+        sharding_(sharding) {
     executor_.set_stats(&stats_);
     if (planner.enable) executor_.set_planner_stats(&cat_stats_);
     plans_.store(std::make_shared<const std::vector<JoinPlan>>());
     if (sharding_.enabled()) {
-      shard_stats_.resize(shard_map_.num_shards());
-      size_t threads = sharding_.threads == 0 ? shard_map_.num_shards()
+      shard_stats_.resize(sharding_.num_shards);
+      size_t threads = sharding_.threads == 0 ? sharding_.num_shards
                                               : sharding_.threads;
       if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
     }
@@ -142,7 +141,6 @@ class QueryMatcher : public Matcher {
   // concurrent engine dispatches from worker threads).
   std::atomic<uint32_t> last_candidates_{0};
   ShardingOptions sharding_;
-  ShardMap shard_map_;
   // Workers for the sharded OnBatch fan-out (absent when serial).
   std::unique_ptr<ThreadPool> pool_;
   // Guards shard_stats_ and the fan-out scratch; taken only when

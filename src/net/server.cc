@@ -407,15 +407,21 @@ Status RuleServer::HandleStats(Socket* sock) {
   add("matcher_batches", ms.batches.load());
   add("matcher_propagations", ms.propagations.load());
   add("matcher_tuples_examined", ms.tuples_examined.load());
-  add("sharded_apply_serialized", ms.sharded_apply_serialized.load());
   add("plans_built", ms.plans_built.load());
   std::vector<ShardStats> shards = system_->matcher().ShardStatsSnapshot();
   add("match_shards", shards.size());
   DurabilityStats ds = system_->catalog().GetDurabilityStats();
   add("wal_records_appended", ds.wal_records_appended);
+  add("wal_bytes_appended", ds.wal_bytes_appended);
   add("wal_flushes", ds.wal_flushes);
-  add("durable_forces", ds.durable_forces);
+  add("wal_pages_written", ds.wal_pages_written);
+  add("wal_live_pages", ds.wal_live_pages);
   add("checkpoints_taken", ds.checkpoints_taken);
+  add("log_pages_recycled", ds.log_pages_recycled);
+  add("pages_stolen", ds.pages_stolen);
+  add("log_forces", ds.log_forces);
+  add("disk_pages_reused", ds.disk_pages_reused);
+  add("durable_forces", ds.durable_forces);
   std::string out;
   EncodeStatsReply(reply, &out);
   return sock->SendFrame(MsgType::kStatsReply, out);

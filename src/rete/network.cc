@@ -1,7 +1,6 @@
 #include "rete/network.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -81,12 +80,6 @@ struct ReteNetwork::JoinNode {
   size_t ce = 0;  // textual CE slot (of `rule`) this node's right input
                   // covers; tokens are indexed by `level`, not by this
   bool negated = false;
-  // Head-tuple partition filter (hot-rule replicas only): a level-0
-  // activation enters this chain iff HashId(id) % part_mod == part_idx,
-  // so the replicas across shards partition a hot rule's instantiations
-  // by head tuple while staying disjoint.
-  uint32_t part_mod = 1;
-  uint32_t part_idx = 0;
   std::unique_ptr<TokenStore> left;
   std::unique_ptr<TokenStore> right;
   // Equality-join key schema, fixed at compile time (parallel vectors):
@@ -100,36 +93,6 @@ struct ReteNetwork::JoinNode {
   std::vector<int> productions;  // rule indices satisfied at this node
 };
 
-/// One working-memory partition's sub-network: its own alpha nodes and
-/// dispatch indexes, join nodes with token memories, and — during a
-/// parallel batch — a buffer of conflict-set ops the barrier merges in
-/// shard order. Everything here is touched by exactly one worker at a
-/// time (OnBatch hands each shard to one task; the serial paths run
-/// under batch_mu_).
-struct ReteNetwork::Shard {
-  size_t index = 0;
-  std::vector<std::unique_ptr<AlphaNode>> alpha_nodes;
-  std::vector<std::unique_ptr<JoinNode>> join_nodes;
-  // Class name -> alpha nodes testing that class.
-  std::unordered_map<std::string, std::vector<AlphaNode*>> alpha_by_class;
-  // Class name -> discrimination index over that class's alpha nodes
-  // (entry id = position in the alpha_by_class vector). Shared alpha
-  // nodes are indexed once, when first created.
-  std::unordered_map<std::string, DiscriminationIndex> alpha_disc;
-  // Size of the previous delta's candidate set — reserve() hint for the
-  // dispatch scratch vector.
-  uint32_t last_candidates = 0;
-  // Alpha sharing: signature -> node.
-  std::unordered_map<std::string, AlphaNode*> alpha_index;
-  // Beta sharing: join-chain prefix signature -> last node of the chain.
-  std::unordered_map<std::string, JoinNode*> beta_index;
-  // Conflict-set ops recorded while `buffered` (parallel batches); the
-  // barrier replays them into the one ConflictSet in shard order.
-  ConflictOpBuffer ops;
-  bool buffered = false;
-  ShardStats sstats;
-};
-
 namespace {
 /// Deltas between drift checks: cheap enough to keep replans timely,
 /// coarse enough that the check never shows on the per-delta path.
@@ -139,25 +102,7 @@ constexpr uint64_t kReplanCheckInterval = 64;
 ReteNetwork::ReteNetwork(Catalog* catalog, ReteOptions options)
     : catalog_(catalog),
       options_(options),
-      shard_map_(options.sharding),
-      planner_(&cat_stats_, options.planner) {
-  const size_t n = shard_map_.num_shards();
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = i;
-    shards_.push_back(std::move(shard));
-  }
-  // DBMS-backed memories route every token movement through the shared
-  // catalog/buffer-pool/WAL stack; shards still partition the work (and
-  // merge deterministically) but execute serially — the conservative
-  // gate until that stack is certified for intra-batch parallelism.
-  if (n > 1 && !options_.dbms_backed) {
-    size_t threads = options_.sharding.threads == 0 ? n
-                                                    : options_.sharding.threads;
-    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  }
-}
+      planner_(&cat_stats_, options.planner) {}
 
 ReteNetwork::~ReteNetwork() = default;
 
@@ -214,37 +159,6 @@ Status ReteNetwork::BuildRule(const Rule& rule, int rule_index) {
     join_order_.resize(static_cast<size_t>(rule_index) + 1);
   }
   join_order_[static_cast<size_t>(rule_index)] = order;
-
-  // Shard placement: a rule compiles into the shard owning its head
-  // class (the first positive CE — the chain's level-0 input). A *hot*
-  // head class instead replicates the rule into every shard behind a
-  // head-tuple partition filter, so its instantiations split across
-  // cores by hash while remaining disjoint.
-  const std::string& head_cls =
-      rule.lhs.conditions[order[0]].relation;
-  if (shards_.size() == 1) {
-    return BuildRuleInShard(rule, rule_index, order, num_positive,
-                            class_arity, shards_[0].get(), /*hot=*/false);
-  }
-  if (shard_map_.IsHot(head_cls)) {
-    for (auto& shard : shards_) {
-      PRODB_RETURN_IF_ERROR(BuildRuleInShard(rule, rule_index, order,
-                                             num_positive, class_arity,
-                                             shard.get(), /*hot=*/true));
-    }
-    return Status::OK();
-  }
-  return BuildRuleInShard(rule, rule_index, order, num_positive, class_arity,
-                          shards_[shard_map_.ShardOfClass(head_cls)].get(),
-                          /*hot=*/false);
-}
-
-Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
-                                     const std::vector<size_t>& order,
-                                     size_t num_positive,
-                                     const std::vector<size_t>& class_arity,
-                                     Shard* shard, bool hot) {
-  const size_t n = rule.lhs.conditions.size();
 
   auto make_store = [&](const std::string& kind, size_t level,
                         const std::vector<size_t>& arities,
@@ -316,22 +230,22 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     AlphaNode* alpha = nullptr;
     std::string sig = probe.Signature();
     if (options_.share_alpha) {
-      auto it = shard->alpha_index.find(sig);
-      if (it != shard->alpha_index.end()) alpha = it->second;
+      auto it = alpha_index_.find(sig);
+      if (it != alpha_index_.end()) alpha = it->second;
     }
     if (alpha == nullptr) {
       auto owned = std::make_unique<AlphaNode>(std::move(probe));
       alpha = owned.get();
-      shard->alpha_nodes.push_back(std::move(owned));
-      std::vector<AlphaNode*>& cls_nodes = shard->alpha_by_class[cond.relation];
+      alpha_nodes_.push_back(std::move(owned));
+      std::vector<AlphaNode*>& cls_nodes = alpha_by_class_[cond.relation];
       // Index the node by its constant tests at the position it occupies
       // in the class vector; intra-CE attr pairs are unclassifiable and
       // re-checked by Matches on candidates. A shared node (found above)
       // is already indexed — once.
-      shard->alpha_disc[cond.relation].Add(
+      alpha_disc_[cond.relation].Add(
           static_cast<uint32_t>(cls_nodes.size()), alpha->tests);
       cls_nodes.push_back(alpha);
-      if (options_.share_alpha) shard->alpha_index[sig] = alpha;
+      if (options_.share_alpha) alpha_index_[sig] = alpha;
     }
     alpha->successors.push_back(node);
   };
@@ -343,17 +257,15 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
   // and level-indexed tokens make the compiled chain independent of the
   // CEs' textual slots (two rules whose planned prefixes agree share
   // even when the shared CEs sit at different LHS positions; Produce
-  // remaps levels to each rule's own slots). Hot (partition-filtered)
-  // chains carry a distinct sig prefix so they can never share a level-0
-  // node with an unfiltered cold chain.
+  // remaps levels to each rule's own slots).
   JoinNode* tail = nullptr;
-  std::string prefix_sig = hot ? "H|" : "";
+  std::string prefix_sig;
   for (size_t k = 0; k < num_positive; ++k) {
     size_t ce = order[k];
     prefix_sig += "@" + rule.lhs.conditions[ce].ToString() + "|";
     if (options_.share_beta) {
-      auto it = shard->beta_index.find(prefix_sig);
-      if (it != shard->beta_index.end()) {
+      auto it = beta_index_.find(prefix_sig);
+      if (it != beta_index_.end()) {
         tail = it->second;
         continue;  // the whole prefix up to k is already compiled
       }
@@ -363,10 +275,6 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     node->level = k;
     node->ce = ce;
     node->negated = false;
-    if (k == 0 && hot) {
-      node->part_mod = static_cast<uint32_t>(shards_.size());
-      node->part_idx = static_cast<uint32_t>(shard->index);
-    }
     if (k > 0) {
       compute_keys(k, ce, node.get());
       // LEFT tokens carry one tuple per positive level [0, k); RIGHT
@@ -383,8 +291,8 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     }
     hook_alpha(ce, node.get());
     tail = node.get();
-    if (options_.share_beta) shard->beta_index[prefix_sig] = tail;
-    shard->join_nodes.push_back(std::move(node));
+    if (options_.share_beta) beta_index_[prefix_sig] = tail;
+    join_nodes_.push_back(std::move(node));
   }
 
   // Negated suffix: never shared (per-rule match counts). Left tokens
@@ -411,13 +319,13 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     hook_alpha(ce, node.get());
     tail->children.push_back(node.get());
     tail = node.get();
-    shard->join_nodes.push_back(std::move(node));
+    join_nodes_.push_back(std::move(node));
   }
 
   tail->productions.push_back(rule_index);
   // Rebuild any range-tier interval trees now, while registration is
   // still single-threaded; dispatch-time Lookups are then pure reads.
-  for (const auto& [cls, disc] : shard->alpha_disc) {
+  for (const auto& [cls, disc] : alpha_disc_) {
     (void)cls;
     disc.Seal();
   }
@@ -441,8 +349,7 @@ bool ReteNetwork::RecomputeBinding(int rule, ReteToken* token,
   return true;
 }
 
-Status ReteNetwork::Produce(Shard* shard, int rule, const ReteToken& token,
-                            bool positive) {
+Status ReteNetwork::Produce(int rule, const ReteToken& token, bool positive) {
   // Reseed replays rebuild the token memories only; the conflict set was
   // never torn down and is already correct.
   if (reseeding_) return Status::OK();
@@ -464,30 +371,21 @@ Status ReteNetwork::Produce(Shard* shard, int rule, const ReteToken& token,
   }
   inst.binding = token.binding;
   inst.binding.resize(static_cast<size_t>(r.lhs.num_vars), std::nullopt);
-  ++shard->sstats.conflict_ops;
   if (positive) {
-    if (shard->buffered) {
-      shard->ops.Add(std::move(inst));
-    } else {
-      conflict_set_.Add(std::move(inst));
-    }
+    conflict_set_.Add(std::move(inst));
   } else {
-    if (shard->buffered) {
-      shard->ops.RemoveByKey(inst.Key());
-    } else {
-      conflict_set_.RemoveByKey(inst.Key());
-    }
+    conflict_set_.RemoveByKey(inst.Key());
   }
   return Status::OK();
 }
 
-Status ReteNetwork::Descend(Shard* shard, JoinNode* node,
-                            const ReteToken& token, bool positive) {
+Status ReteNetwork::Descend(JoinNode* node, const ReteToken& token,
+                            bool positive) {
   for (int rule : node->productions) {
-    PRODB_RETURN_IF_ERROR(Produce(shard, rule, token, positive));
+    PRODB_RETURN_IF_ERROR(Produce(rule, token, positive));
   }
   for (JoinNode* child : node->children) {
-    PRODB_RETURN_IF_ERROR(ActivateLeft(shard, child, token, positive));
+    PRODB_RETURN_IF_ERROR(ActivateLeft(child, token, positive));
   }
   return Status::OK();
 }
@@ -518,8 +416,8 @@ bool ReteNetwork::ProbeKeyFromTuple(const JoinNode& node, const Tuple& tuple,
   return !key->empty();
 }
 
-Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
-                                 const ReteToken& token, bool positive) {
+Status ReteNetwork::ActivateLeft(JoinNode* node, const ReteToken& token,
+                                 bool positive) {
   ++stats_.propagations;
   const Rule& rule = rules_[static_cast<size_t>(node->rule)];
   const ConditionSpec& cond = rule.lhs.conditions[node->ce];
@@ -559,7 +457,7 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
         return Status::OK();
       }));
       node->neg_counts[token.Key()] = count;
-      if (count == 0) return Descend(shard, node, token, true);
+      if (count == 0) return Descend(node, token, true);
       return Status::OK();
     }
     return for_each_right([&](const ReteToken& r) {
@@ -574,7 +472,7 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
       EnsureWidth(&merged, node->level);
       merged.ids[node->level] = r.ids[node->level];
       merged.tuples[node->level] = r.tuples[node->level];
-      return Descend(shard, node, merged, true);
+      return Descend(node, merged, true);
     });
   }
 
@@ -587,7 +485,7 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
     auto it = node->neg_counts.find(token.Key());
     int count = it == node->neg_counts.end() ? 0 : it->second;
     if (it != node->neg_counts.end()) node->neg_counts.erase(it);
-    if (count == 0) return Descend(shard, node, token, false);
+    if (count == 0) return Descend(node, token, false);
     return Status::OK();
   }
   return for_each_right([&](const ReteToken& r) {
@@ -602,33 +500,27 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
     EnsureWidth(&merged, node->level);
     merged.ids[node->level] = r.ids[node->level];
     merged.tuples[node->level] = r.tuples[node->level];
-    return Descend(shard, node, merged, false);
+    return Descend(node, merged, false);
   });
 }
 
 Status ReteNetwork::ActivateRightBatch(
-    Shard* shard, JoinNode* node, const std::vector<RightActivation>& acts) {
+    JoinNode* node, const std::vector<RightActivation>& acts) {
   ++stats_.propagations;
   const Rule& rule = rules_[static_cast<size_t>(node->rule)];
   const ConditionSpec& cond = rule.lhs.conditions[node->ce];
 
   // Head node: no LEFT memory; each tuple becomes a width-1 token (slot
-  // = level 0 of the chain) on its own. Hot-rule replicas accept only
-  // their head-tuple partition here — the single filter that keeps
-  // replicated chains disjoint across shards.
+  // = level 0 of the chain) on its own.
   if (node->level == 0) {
     for (const RightActivation& a : acts) {
-      if (node->part_mod > 1 &&
-          HashId(a.id) % node->part_mod != node->part_idx) {
-        continue;
-      }
       ReteToken token;
       token.binding.assign(static_cast<size_t>(rule.lhs.num_vars),
                            std::nullopt);
       if (!TupleConsistent(cond, *a.tuple, &token.binding)) continue;
       token.ids.assign(1, a.id);
       token.tuples.assign(1, *a.tuple);
-      PRODB_RETURN_IF_ERROR(Descend(shard, node, token, a.positive));
+      PRODB_RETURN_IF_ERROR(Descend(node, token, a.positive));
     }
     return Status::OK();
   }
@@ -675,11 +567,11 @@ Status ReteNetwork::ActivateRightBatch(
       int& count = node->neg_counts[l.Key()];
       if (a.positive) {
         if (++count == 1) {
-          PRODB_RETURN_IF_ERROR(Descend(shard, node, l, false));
+          PRODB_RETURN_IF_ERROR(Descend(node, l, false));
         }
       } else {
         if (--count == 0) {
-          PRODB_RETURN_IF_ERROR(Descend(shard, node, l, true));
+          PRODB_RETURN_IF_ERROR(Descend(node, l, true));
         }
       }
       return Status::OK();
@@ -689,7 +581,7 @@ Status ReteNetwork::ActivateRightBatch(
     EnsureWidth(&merged, node->level);
     merged.ids[node->level] = a.id;
     merged.tuples[node->level] = *a.tuple;
-    return Descend(shard, node, merged, a.positive);
+    return Descend(node, merged, a.positive);
   };
 
   auto prepare = [&](ReteToken* l) -> bool {
@@ -757,29 +649,27 @@ Status ReteNetwork::ActivateRightBatch(
   return Status::OK();
 }
 
-Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
+Status ReteNetwork::PropagateGroup(const std::string& rel,
                                    const std::vector<RightActivation>& group) {
-  auto it = shard->alpha_by_class.find(rel);
-  if (it == shard->alpha_by_class.end()) return Status::OK();
+  auto it = alpha_by_class_.find(rel);
+  if (it == alpha_by_class_.end()) return Status::OK();
   const std::vector<AlphaNode*>& nodes = it->second;
-  shard->sstats.deltas_routed += group.size();
 
   if (options_.discriminate_alpha) {
-    auto dit = shard->alpha_disc.find(rel);
-    if (dit == shard->alpha_disc.end()) return Status::OK();
+    auto dit = alpha_disc_.find(rel);
+    if (dit == alpha_disc_.end()) return Status::OK();
     const DiscriminationIndex& disc = dit->second;
     // Tuple-major candidate collection into sparse per-alpha passed
     // lists, so each surviving alpha still sees the group's deltas in
     // order while the class's other alpha nodes are never touched.
     std::vector<uint32_t> cands;
-    cands.reserve(shard->last_candidates);
+    cands.reserve(last_candidates_);
     std::unordered_map<uint32_t, std::vector<RightActivation>> passed;
     std::vector<uint32_t> touched;
     for (const RightActivation& a : group) {
       cands.clear();
       disc.Lookup(*a.tuple, &cands);
       stats_.candidates_visited += cands.size();
-      shard->sstats.candidates_visited += cands.size();
       for (uint32_t pos : cands) {
         ++stats_.alpha_tests_evaluated;
         if (!nodes[pos]->Matches(*a.tuple)) continue;
@@ -791,13 +681,13 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
         pit->second.push_back(a);
       }
     }
-    shard->last_candidates = static_cast<uint32_t>(cands.size());
+    last_candidates_ = static_cast<uint32_t>(cands.size());
     // Registration order within the class, as the linear walk visits.
     std::sort(touched.begin(), touched.end());
     for (uint32_t pos : touched) {
       ++stats_.propagations;
       for (JoinNode* node : nodes[pos]->successors) {
-        PRODB_RETURN_IF_ERROR(ActivateRightBatch(shard, node, passed[pos]));
+        PRODB_RETURN_IF_ERROR(ActivateRightBatch(node, passed[pos]));
       }
     }
     return Status::OK();
@@ -815,7 +705,7 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
     }
     if (passed.empty()) continue;
     for (JoinNode* node : alpha->successors) {
-      PRODB_RETURN_IF_ERROR(ActivateRightBatch(shard, node, passed));
+      PRODB_RETURN_IF_ERROR(ActivateRightBatch(node, passed));
     }
   }
   return Status::OK();
@@ -826,9 +716,7 @@ Status ReteNetwork::OnInsert(const std::string& rel, TupleId id,
   std::lock_guard<std::mutex> lock(batch_mu_);
   if (options_.planner.enable) cat_stats_.OnDelta(rel, t, +1);
   one_act_.assign(1, RightActivation{id, &t, /*positive=*/true});
-  for (auto& shard : shards_) {
-    PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), rel, one_act_));
-  }
+  PRODB_RETURN_IF_ERROR(PropagateGroup(rel, one_act_));
   return MaybeReplan(1);
 }
 
@@ -837,9 +725,7 @@ Status ReteNetwork::OnDelete(const std::string& rel, TupleId id,
   std::lock_guard<std::mutex> lock(batch_mu_);
   if (options_.planner.enable) cat_stats_.OnDelta(rel, t, -1);
   one_act_.assign(1, RightActivation{id, &t, /*positive=*/false});
-  for (auto& shard : shards_) {
-    PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), rel, one_act_));
-  }
+  PRODB_RETURN_IF_ERROR(PropagateGroup(rel, one_act_));
   return MaybeReplan(1);
 }
 
@@ -860,59 +746,9 @@ Status ReteNetwork::OnBatch(const ChangeSet& batch) {
     it->second.push_back(RightActivation{d.id, &d.tuple, d.is_insert()});
   }
 
-  if (shards_.size() == 1) {
-    for (const std::string* rel : order) {
-      PRODB_RETURN_IF_ERROR(
-          PropagateGroup(shards_[0].get(), *rel, groups.at(*rel)));
-    }
-    return MaybeReplan(batch.size());
+  for (const std::string* rel : order) {
+    PRODB_RETURN_IF_ERROR(PropagateGroup(*rel, groups.at(*rel)));
   }
-
-  // Sharded propagation: every shard walks the grouped deltas (its
-  // per-class alpha maps and head-partition filters select its slice),
-  // buffering conflict-set ops. The barrier then replays the buffers in
-  // shard order 0..N-1 — each shard is single-threaded and
-  // deterministic, so the merged conflict set (recency stamps included)
-  // is byte-identical regardless of thread count or completion order.
-  std::vector<Status> shard_status(shards_.size());
-  std::vector<std::chrono::steady_clock::time_point> done_at(shards_.size());
-  for (auto& shard : shards_) shard->buffered = true;
-  auto run_shard = [&](size_t i) {
-    Shard* shard = shards_[i].get();
-    for (const std::string* rel : order) {
-      Status st = PropagateGroup(shard, *rel, groups.at(*rel));
-      if (!st.ok()) {
-        shard_status[i] = st;
-        break;
-      }
-    }
-    done_at[i] = std::chrono::steady_clock::now();
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(shards_.size(), run_shard);
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) run_shard(i);
-  }
-  const auto barrier = std::chrono::steady_clock::now();
-
-  Status first;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard* shard = shards_[i].get();
-    shard->buffered = false;
-    shard->sstats.merge_wait_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(barrier -
-                                                             done_at[i])
-            .count());
-    if (first.ok() && !shard_status[i].ok()) first = shard_status[i];
-    if (first.ok()) {
-      conflict_set_.ApplyOps(&shard->ops);
-    } else {
-      // A failed batch leaves the serial prefix applied, like the serial
-      // path would; later shards' ops are dropped.
-      shard->ops.clear();
-    }
-  }
-  if (!first.ok()) return first;
   return MaybeReplan(batch.size());
 }
 
@@ -971,26 +807,27 @@ Status ReteNetwork::ReplanAll() {
 }
 
 Status ReteNetwork::RebuildAndReseed() {
-  // Tear down the compiled network, keeping per-shard counters. The
-  // DBMS-backed token relations must be dropped from the catalog before
-  // the stores that own them go away.
-  for (auto& shard : shards_) {
-    if (options_.dbms_backed) {
-      for (const auto& node : shard->join_nodes) {
-        for (TokenStore* s : {node->left.get(), node->right.get()}) {
-          auto* rs = dynamic_cast<RelationTokenStore*>(s);
-          if (rs != nullptr) {
-            PRODB_RETURN_IF_ERROR(
-                catalog_->Drop(rs->relation()->schema().name()));
-          }
+  // Tear down the compiled network. The DBMS-backed token relations
+  // must be dropped from the catalog before the stores that own them go
+  // away.
+  if (options_.dbms_backed) {
+    for (const auto& node : join_nodes_) {
+      for (TokenStore* s : {node->left.get(), node->right.get()}) {
+        auto* rs = dynamic_cast<RelationTokenStore*>(s);
+        if (rs != nullptr) {
+          PRODB_RETURN_IF_ERROR(
+              catalog_->Drop(rs->relation()->schema().name()));
         }
       }
     }
-    auto fresh = std::make_unique<Shard>();
-    fresh->index = shard->index;
-    fresh->sstats = shard->sstats;
-    shard = std::move(fresh);
   }
+  alpha_by_class_.clear();
+  alpha_disc_.clear();
+  alpha_index_.clear();
+  beta_index_.clear();
+  alpha_nodes_.clear();
+  join_nodes_.clear();
+  last_candidates_ = 0;
   // Recompile every rule under its new plan.
   for (size_t i = 0; i < rules_.size(); ++i) {
     PRODB_RETURN_IF_ERROR(BuildRule(rules_[i], static_cast<int>(i)));
@@ -1029,30 +866,17 @@ Status ReteNetwork::ReseedFromRelations() {
     for (const auto& [id, t] : rows) {
       group.push_back(RightActivation{id, &t, /*positive=*/true});
     }
-    for (auto& shard : shards_) {
-      PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), cls, group));
-    }
+    PRODB_RETURN_IF_ERROR(PropagateGroup(cls, group));
   }
   return Status::OK();
 }
 
-std::vector<ShardStats> ReteNetwork::ShardStatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  std::vector<ShardStats> out;
-  if (shards_.size() == 1) return out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->sstats);
-  return out;
-}
-
 size_t ReteNetwork::AuxiliaryFootprintBytes() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& node : shard->join_nodes) {
-      if (node->left != nullptr) total += node->left->FootprintBytes();
-      if (node->right != nullptr) total += node->right->FootprintBytes();
-      total += node->neg_counts.size() * 48;  // approximate map overhead
-    }
+  for (const auto& node : join_nodes_) {
+    if (node->left != nullptr) total += node->left->FootprintBytes();
+    if (node->right != nullptr) total += node->right->FootprintBytes();
+    total += node->neg_counts.size() * 48;  // approximate map overhead
   }
   return total;
 }
@@ -1060,14 +884,12 @@ size_t ReteNetwork::AuxiliaryFootprintBytes() const {
 ReteTopology ReteNetwork::Topology() const {
   ReteTopology topo;
   topo.production_nodes = rules_.size();
-  for (const auto& shard : shards_) {
-    topo.alpha_nodes += shard->alpha_nodes.size();
-    for (const auto& node : shard->join_nodes) {
-      if (node->negated) {
-        ++topo.negative_nodes;
-      } else if (node->level > 0) {
-        ++topo.beta_nodes;
-      }
+  topo.alpha_nodes = alpha_nodes_.size();
+  for (const auto& node : join_nodes_) {
+    if (node->negated) {
+      ++topo.negative_nodes;
+    } else if (node->level > 0) {
+      ++topo.beta_nodes;
     }
   }
   return topo;
@@ -1075,11 +897,9 @@ ReteTopology ReteNetwork::Topology() const {
 
 size_t ReteNetwork::TokenCount() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& node : shard->join_nodes) {
-      if (node->left != nullptr) total += node->left->size();
-      if (node->right != nullptr) total += node->right->size();
-    }
+  for (const auto& node : join_nodes_) {
+    if (node->left != nullptr) total += node->left->size();
+    if (node->right != nullptr) total += node->right->size();
   }
   return total;
 }

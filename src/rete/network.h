@@ -7,11 +7,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "db/stats.h"
 #include "match/discrimination.h"
 #include "match/matcher.h"
-#include "match/sharding.h"
 #include "plan/planner.h"
 #include "rete/token_store.h"
 
@@ -56,16 +54,6 @@ struct ReteOptions {
   /// class — the remaining linear walk on the §3.2 hot path. Off restores
   /// the full per-class walk for the ablation benchmarks.
   bool discriminate_alpha = true;
-  /// Partitioned multi-core match (§4.2.3's parallel-propagation claim
-  /// taken to the whole network): the network is replicated into
-  /// `sharding.num_shards` independent sub-networks — a rule compiles
-  /// into the shard owning its head class, or into *every* shard with a
-  /// head-tuple partition filter when the head class is hot — and
-  /// OnBatch runs the shards on a ThreadPool, merging buffered
-  /// conflict-set deltas at a barrier in fixed shard order so the merged
-  /// set is byte-identical at any thread count. Disabled (or
-  /// dbms_backed, where shards run serially) preserves the serial path.
-  ShardingOptions sharding;
 };
 
 /// Structural counters (Figure 1/3 analyses, E1).
@@ -87,9 +75,6 @@ struct ReteTopology {
 /// awaiting future partners; tokens reaching a production node update the
 /// conflict set. Negated CEs become negative nodes that count consistent
 /// right-side matches and pass left tokens only while the count is zero.
-///
-/// With sharding enabled the network is a vector of such sub-networks,
-/// one per working-memory partition (see ReteOptions::sharding).
 class ReteNetwork : public Matcher {
  public:
   /// `catalog` supplies the WM relations and, when dbms_backed, hosts the
@@ -104,10 +89,7 @@ class ReteNetwork : public Matcher {
   /// their order) and pushes each group through the alpha network in one
   /// pass, so two-input nodes scan their LEFT memories once per group
   /// instead of once per tuple — the set-at-a-time access the DBMS
-  /// setting exists to provide (§3.2). When sharded, every shard consumes
-  /// the grouped deltas concurrently (each filters to its own classes /
-  /// head-tuple partition) and the per-shard conflict-set deltas merge at
-  /// the barrier in shard order.
+  /// setting exists to provide (§3.2).
   Status OnBatch(const ChangeSet& batch) override;
 
   ConflictSet& conflict_set() override { return conflict_set_; }
@@ -115,14 +97,12 @@ class ReteNetwork : public Matcher {
   const MatcherStats& stats() const override { return stats_; }
   std::string name() const override {
     std::string base = options_.dbms_backed ? "rete-dbms" : "rete";
-    if (options_.planner.enable) base += "-plan";
-    return options_.sharding.enabled() ? base + "-shard" : base;
+    return options_.planner.enable ? base + "-plan" : base;
   }
   const std::vector<Rule>& rules() const override { return rules_; }
-  std::vector<ShardStats> ShardStatsSnapshot() const override;
 
   ReteTopology Topology() const;
-  /// Total tokens resident in LEFT+RIGHT memories (summed over shards).
+  /// Total tokens resident in LEFT+RIGHT memories.
   size_t TokenCount() const;
 
   /// Current per-rule plans (index = rule; tests/benchmarks).
@@ -140,7 +120,6 @@ class ReteNetwork : public Matcher {
  private:
   struct AlphaNode;
   struct JoinNode;
-  struct Shard;
 
   /// One signed right-input arrival, batched per group.
   struct RightActivation {
@@ -149,15 +128,8 @@ class ReteNetwork : public Matcher {
     bool positive;
   };
 
+  /// Compiles `rule` into the network under its current plan.
   Status BuildRule(const Rule& rule, int rule_index);
-  /// Compiles `rule` into one shard's sub-network. `hot` adds the
-  /// level-0 head-tuple partition filter (and segregates beta-prefix
-  /// sharing from unfiltered chains).
-  Status BuildRuleInShard(const Rule& rule, int rule_index,
-                          const std::vector<size_t>& order,
-                          size_t num_positive,
-                          const std::vector<size_t>& class_arity,
-                          Shard* shard, bool hot);
 
   /// Recomputes the binding of a token over join positions [0, upto) of
   /// `rule` (needed for relation-backed stores, which persist tuples but
@@ -175,27 +147,22 @@ class ReteNetwork : public Matcher {
                                 std::vector<Value>* key);
 
   /// Token arrives on the left input of `node` with the given sign.
-  Status ActivateLeft(Shard* shard, JoinNode* node, const ReteToken& token,
-                      bool positive);
+  Status ActivateLeft(JoinNode* node, const ReteToken& token, bool positive);
   /// Forwards a token past `node`: fires its productions, then feeds its
   /// children (several when chain prefixes are shared).
-  Status Descend(Shard* shard, JoinNode* node, const ReteToken& token,
-                 bool positive);
+  Status Descend(JoinNode* node, const ReteToken& token, bool positive);
   /// A group of WM tuples arrives on the right input of `node` as one
   /// atomic activation: every store mutation is applied, then the LEFT
   /// memory is scanned once, pairing each stored token with every
   /// activation in delta order.
-  Status ActivateRightBatch(Shard* shard, JoinNode* node,
+  Status ActivateRightBatch(JoinNode* node,
                             const std::vector<RightActivation>& acts);
-  /// Feeds a group of same-relation deltas through one shard's alpha
-  /// network.
-  Status PropagateGroup(Shard* shard, const std::string& rel,
+  /// Feeds a group of same-relation deltas through the alpha network.
+  Status PropagateGroup(const std::string& rel,
                         const std::vector<RightActivation>& group);
-  /// Token passed all joins of a rule: update the conflict set (directly
-  /// on the serial path, via the shard's op buffer inside a parallel
-  /// batch; suppressed during reseeds — the set is already correct).
-  Status Produce(Shard* shard, int rule, const ReteToken& token,
-                 bool positive);
+  /// Token passed all joins of a rule: update the conflict set
+  /// (suppressed during reseeds — the set is already correct).
+  Status Produce(int rule, const ReteToken& token, bool positive);
 
   /// Drift check + re-plan, rate-limited to every kReplanCheckInterval
   /// deltas. Called at the end of OnInsert/OnDelete/OnBatch under
@@ -212,7 +179,6 @@ class ReteNetwork : public Matcher {
 
   Catalog* catalog_;
   ReteOptions options_;
-  ShardMap shard_map_;
   // Incremental catalog statistics over the rules' LHS relations,
   // registered at AddRule (single-threaded per the Matcher contract) and
   // updated from the propagation entry points under batch_mu_.
@@ -228,11 +194,23 @@ class ReteNetwork : public Matcher {
   uint64_t deltas_since_plan_check_ = 0;
   // True while ReseedFromRelations replays WM: Produce becomes a no-op.
   bool reseeding_ = false;
-  // Sub-networks; exactly one when sharding is off.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Workers for the sharded OnBatch fan-out (absent when serial or
-  // dbms_backed).
-  std::unique_ptr<ThreadPool> pool_;
+  // The compiled network: alpha nodes and their per-class dispatch,
+  // join nodes with their token memories, and the sharing maps.
+  std::vector<std::unique_ptr<AlphaNode>> alpha_nodes_;
+  std::vector<std::unique_ptr<JoinNode>> join_nodes_;
+  // Class name -> alpha nodes testing that class.
+  std::unordered_map<std::string, std::vector<AlphaNode*>> alpha_by_class_;
+  // Class name -> discrimination index over that class's alpha nodes
+  // (entry id = position in the alpha_by_class_ vector). Shared alpha
+  // nodes are indexed once, when first created.
+  std::unordered_map<std::string, DiscriminationIndex> alpha_disc_;
+  // Alpha sharing: signature -> node.
+  std::unordered_map<std::string, AlphaNode*> alpha_index_;
+  // Beta sharing: join-chain prefix signature -> last node of the chain.
+  std::unordered_map<std::string, JoinNode*> beta_index_;
+  // Size of the previous delta's candidate set — reserve() hint for the
+  // dispatch scratch vector.
+  uint32_t last_candidates_ = 0;
   // Serializes matcher maintenance: the concurrent engine (§5) commits
   // batches from worker threads with no external lock, and the token
   // memories / alpha scratch state are single-writer by design.

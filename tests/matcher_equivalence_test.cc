@@ -24,16 +24,11 @@ struct MatcherCase {
 
 // 4 shards on 2 worker threads — small enough to keep the suite quick,
 // uneven enough (threads != shards) to exercise work stealing of whole
-// shards. With `hot`, every class name the test programs use is
-// hash-partitioned by tuple id.
-ShardingOptions TestSharding(bool hot = false) {
+// shards.
+ShardingOptions TestSharding() {
   ShardingOptions so;
   so.num_shards = 4;
   so.threads = 2;
-  if (hot) {
-    so.hot_classes = {"A",    "B",    "C",          "Emp", "Dept",
-                      "Order", "Assignment", "C0",  "C1",  "C2"};
-  }
   return so;
 }
 
@@ -134,43 +129,22 @@ std::vector<MatcherCase> AllMatchers() {
          opts.discriminate_alpha = false;
          return std::make_unique<ReteNetwork>(c, opts);
        }},
-      // Sharded ablation: partitioned multi-core match must agree with
-      // the serial oracle on every trace — per-tuple (the serial
-      // multi-shard walk) and batched (the parallel fan-out + ordered
-      // merge) alike. The "-hot" variant hash-partitions every class the
-      // test programs use, exercising replicated rules behind head-tuple
-      // partition filters; unknown names in the hot list are inert.
+      // Sharded ablation: the query matcher's parallel seeded
+      // evaluation must agree with the serial oracle on every trace —
+      // per-tuple (the serial path) and batched (the parallel fan-out +
+      // ordered commit) alike.
       {"query-shard",
        [](Catalog* c) {
          return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
                                                TestSharding());
-       }},
-      {"rete-shard",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.sharding = TestSharding();
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-shard-hot",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.sharding = TestSharding(/*hot=*/true);
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-dbms-shard",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.dbms_backed = true;
-         opts.sharding = TestSharding();
-         return std::make_unique<ReteNetwork>(c, opts);
        }},
       // Cost-based join planning ablation: a planned order changes only
       // the join *sequence*, so the conflict set must stay byte-identical
       // to the syntactic baseline — including across the drift-triggered
       // replans the aggressive threshold forces mid-trace (Rete rebuilds
       // and reseeds its join network; the query matcher swaps plan
-      // snapshots). Serial (1-thread) and 8-shard/8-thread variants
-      // cover both commit paths.
+      // snapshots). The query matcher's serial and 8-shard/8-thread
+      // variants cover both of its commit paths.
       {"query-plan",
        [](Catalog* c) {
          return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
@@ -195,13 +169,6 @@ std::vector<MatcherCase> AllMatchers() {
          return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
                                                WideSharding(),
                                                TestPlanner());
-       }},
-      {"rete-plan-shard8",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.sharding = WideSharding();
-         opts.planner = TestPlanner();
-         return std::make_unique<ReteNetwork>(c, opts);
        }},
   };
 }

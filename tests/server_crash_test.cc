@@ -235,6 +235,36 @@ TEST(ServerCrashTest, KillUnderLoadKeepsAckedPrefix) {
   std::filesystem::remove(rules);
 }
 
+// Waits up to ~10 s for `proc` to exit on its own and returns its exit
+// code; -1 when it was still running (it is then killed) or died by a
+// signal.
+int ExitCode(ServerProc* proc) {
+  for (int i = 0; i < 400; ++i) {
+    int status = 0;
+    if (::waitpid(proc->pid, &status, WNOHANG) == proc->pid) {
+      proc->pid = -1;
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  proc->Kill();
+  return -1;
+}
+
+// Only the query matcher runs match on several threads, so asking for
+// shards with any other matcher is a usage error, not a serial run.
+TEST(ServerMainTest, ShardsRequireQueryMatcher) {
+  for (const char* matcher : {"pattern", "rete", "rete-dbms"}) {
+    ServerProc server = Spawn({"--tcp_port=0", "--shards=4",
+                               std::string("--matcher=") + matcher});
+    ASSERT_GT(server.pid, 0);
+    EXPECT_EQ(ExitCode(&server), 2) << matcher;
+  }
+  ServerProc server = Spawn({"--tcp_port=0", "--shards=4"});
+  ASSERT_GT(server.pid, 0);
+  EXPECT_EQ(ExitCode(&server), 2) << "default matcher";
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace prodb

@@ -550,6 +550,13 @@ TEST(ServerTest, DurableStatsPollDuringCommits) {
     if (!writer.Apply(batch, &ack).ok() || !ack.durable) break;
     ++applied;
   }
+  // One batch whose writes alone outgrow the 4-frame pool: its
+  // transaction must steal, writing back its own uncommitted pages.
+  WireBatch big;
+  for (int k = 0; k < 1024; ++k) big.ops.push_back(Make("C0", 1000 + k, 0));
+  WireBatchAck big_ack;
+  ASSERT_TRUE(writer.Apply(big, &big_ack).ok());
+  EXPECT_TRUE(big_ack.durable);
   done = true;
   poll.join();
   EXPECT_EQ(applied, 60u);
@@ -558,18 +565,32 @@ TEST(ServerTest, DurableStatsPollDuringCommits) {
 
   WireStatsReply stats;
   ASSERT_TRUE(poller.GetStats(&stats).ok());
-  uint64_t records = 0;
-  for (const auto& [k, v] : stats.counters) {
-    if (k == "wal_records_appended") records = v;
+  auto find = [&](const std::string& key) -> uint64_t {
+    for (const auto& [k, v] : stats.counters) {
+      if (k == key) return v;
+    }
+    return UINT64_MAX;
+  };
+  EXPECT_GE(find("wal_records_appended"), 60u * 8u);
+  // The big batch stole (wrote back uncommitted pages under the WAL
+  // rule), and the log occupies disk pages. Both must be visible to a
+  // client over kStats, as must every other durability counter.
+  EXPECT_NE(find("pages_stolen"), UINT64_MAX);
+  EXPECT_GT(find("pages_stolen"), 0u);
+  EXPECT_NE(find("wal_live_pages"), UINT64_MAX);
+  EXPECT_GT(find("wal_live_pages"), 0u);
+  for (const char* key :
+       {"wal_bytes_appended", "wal_pages_written", "log_pages_recycled",
+        "log_forces", "disk_pages_reused", "durable_forces"}) {
+    EXPECT_NE(find(key), UINT64_MAX) << key;
   }
-  EXPECT_GE(records, 60u * 8u);
   server.Stop();
   std::filesystem::remove(db);
 }
 
 TEST(ServerTest, ShardingAndPlannerPlumbedThrough) {
   RuleServerOptions opts = TcpOptions();
-  opts.system.matcher = MatcherKind::kRete;
+  opts.system.matcher = MatcherKind::kQuery;
   opts.system.sharding.num_shards = 4;
   opts.system.sharding.threads = 2;
   opts.system.planner.enable = true;

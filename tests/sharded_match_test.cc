@@ -1,11 +1,12 @@
-// Sharded multi-core match (working-memory partitioning): routing units,
-// serial-vs-sharded conflict-set identity, thread-count-independent
-// firing order under the recency strategy, per-shard counters, and the
-// sharded matchers under the concurrent engine.
+// Sharded multi-core match — the query matcher's parallel seeded
+// re-evaluation: serial-vs-sharded conflict-set identity down to the
+// recency stamps, firing order under the recency strategy equal to the
+// serial matcher's at every thread count, per-shard counters, and the
+// sharded matcher under the concurrent engine.
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 
 #include "common/rng.h"
 #include "engine/concurrent_engine.h"
@@ -14,67 +15,9 @@
 #include "match/sharding.h"
 #include "matcher_test_util.h"
 #include "rete/network.h"
-#include "workload/generator.h"
 
 namespace prodb {
 namespace {
-
-TEST(ShardMapTest, ColdClassesRouteByClassName) {
-  ShardingOptions so;
-  so.num_shards = 4;
-  ShardMap map(so);
-  ASSERT_EQ(map.num_shards(), 4u);
-  // Same class always lands in the same shard, regardless of tuple id.
-  Delta a1;
-  a1.relation = "Emp";
-  a1.id = TupleId{1, 1};
-  Delta a2;
-  a2.relation = "Emp";
-  a2.id = TupleId{99, 7};
-  EXPECT_EQ(map.Route(a1), map.Route(a2));
-  EXPECT_EQ(map.Route(a1), map.ShardOfClass("Emp"));
-  EXPECT_FALSE(map.IsHot("Emp"));
-}
-
-TEST(ShardMapTest, HotClassesRouteByTupleId) {
-  ShardingOptions so;
-  so.num_shards = 8;
-  so.hot_classes = {"Emp"};
-  ShardMap map(so);
-  EXPECT_TRUE(map.IsHot("Emp"));
-  EXPECT_FALSE(map.IsHot("Dept"));
-  // Hot routing spreads distinct ids across shards...
-  std::map<size_t, int> hist;
-  for (uint32_t i = 0; i < 256; ++i) {
-    Delta d;
-    d.relation = "Emp";
-    d.id = TupleId{i, i % 16};
-    ++hist[map.Route(d)];
-  }
-  EXPECT_GT(hist.size(), 4u) << "hot hashing should use most shards";
-  // ...and is a pure function of the id.
-  Delta d;
-  d.relation = "Emp";
-  d.id = TupleId{42, 3};
-  EXPECT_EQ(map.Route(d), map.ShardOfId(d.id));
-}
-
-TEST(ShardMapTest, HotHashingCanBeDisabled) {
-  ShardingOptions so;
-  so.num_shards = 8;
-  so.hash_hot_classes = false;
-  so.hot_classes = {"Emp"};
-  ShardMap map(so);
-  EXPECT_FALSE(map.IsHot("Emp"));
-}
-
-TEST(ShardMapTest, SingleShardRoutesEverythingToZero) {
-  ShardMap map;  // default: 1 shard
-  Delta d;
-  d.relation = "anything";
-  d.id = TupleId{7, 7};
-  EXPECT_EQ(map.Route(d), 0u);
-}
 
 TEST(ShardImbalanceTest, UniformIsOneEmptyIsOne) {
   EXPECT_DOUBLE_EQ(ShardImbalance({}), 1.0);
@@ -86,9 +29,34 @@ TEST(ShardImbalanceTest, UniformIsOneEmptyIsOne) {
   EXPECT_DOUBLE_EQ(ShardImbalance(skew), 4.0);
 }
 
-// Drives the same randomized batched churn through a serial matcher and
-// sharded variants at several thread counts; conflict sets (including
-// recency stamps, checked via Snapshot order below) must be identical.
+std::unique_ptr<Matcher> ShardedQuery(Catalog* c, size_t num_shards,
+                                      size_t threads) {
+  ShardingOptions so;
+  so.num_shards = num_shards;
+  so.threads = threads;
+  return std::make_unique<QueryMatcher>(c, ExecutorOptions{}, so);
+}
+
+// The conflict set in recency order, each member with its stamp, rule
+// and matched tuple values: equal lists mean the same instantiations
+// entered the set in the same order under the same stamps.
+std::vector<std::string> ByRecency(Matcher& m) {
+  std::vector<Instantiation> snap = m.conflict_set().Snapshot();
+  std::sort(snap.begin(), snap.end(),
+            [](const Instantiation& a, const Instantiation& b) {
+              return a.recency < b.recency;
+            });
+  std::vector<std::string> out;
+  for (const Instantiation& inst : snap) {
+    out.push_back(std::to_string(inst.recency) + ":" + inst.ToString());
+  }
+  return out;
+}
+
+// Drives the same randomized batched churn through the serial query
+// matcher and its sharded variant at several thread counts. The sharded
+// path commits in the serial order, so the conflict set must match the
+// serial one member for member, recency stamps included.
 TEST(ShardedMatchTest, BatchedChurnMatchesSerialAcrossThreadCounts) {
   const char* program = R"(
 (literalize A k v)
@@ -98,119 +66,76 @@ TEST(ShardedMatchTest, BatchedChurnMatchesSerialAcrossThreadCounts) {
 (p triple (A ^k <x>) (B ^k <x> ^v <w>) (C ^v <w>) --> (remove 1))
 (p lonely (A ^k <x> ^v 0) -(C ^k <x>) --> (remove 1))
 )";
-  auto make_serial = [](Catalog* c) {
-    return std::make_unique<ReteNetwork>(c);
-  };
-  for (bool hot : {false, true}) {
-    // Per-batch recency-ordered rule names from the threads=1 run; later
-    // thread counts must reproduce them exactly. (The sharded merge
-    // applies buffered ops in shard order, so recency stamps are
-    // deterministic across thread counts — but legitimately permuted
-    // relative to the serial network's traversal order; against the
-    // serial oracle only set equality holds.)
-    std::vector<std::vector<std::string>> recency_ref;
-    for (size_t threads : {1u, 2u, 8u}) {
-      MatcherHarness serial, sharded;
-      ASSERT_TRUE(serial.Init(program, make_serial).ok());
-      ASSERT_TRUE(sharded
-                      .Init(program,
-                            [&](Catalog* c) {
-                              ReteOptions opts;
-                              opts.sharding.num_shards = 8;
-                              opts.sharding.threads = threads;
-                              if (hot) {
-                                opts.sharding.hot_classes = {"A", "B", "C"};
-                              }
-                              return std::make_unique<ReteNetwork>(c, opts);
-                            })
-                      .ok());
-      ASSERT_EQ(sharded.matcher->name(), "rete-shard");
+  for (size_t threads : {1u, 2u, 8u}) {
+    MatcherHarness serial, sharded;
+    ASSERT_TRUE(serial
+                    .Init(program,
+                          [](Catalog* c) {
+                            return std::make_unique<QueryMatcher>(c);
+                          })
+                    .ok());
+    ASSERT_TRUE(sharded
+                    .Init(program,
+                          [&](Catalog* c) {
+                            return ShardedQuery(c, 8, threads);
+                          })
+                    .ok());
+    ASSERT_EQ(sharded.matcher->name(), "query-shard");
 
-      Rng rng(7);  // same trace at every thread count
-      std::vector<std::pair<std::string, std::pair<TupleId, TupleId>>> live;
-      for (int batch = 0; batch < 25; ++batch) {
-        serial.wm->BeginBatch();
-        sharded.wm->BeginBatch();
-        for (int k = 0; k < 12; ++k) {
-          if (rng.Chance(0.3) && !live.empty()) {
-            size_t pick = rng.Uniform(live.size());
-            ASSERT_TRUE(serial.wm
-                            ->Delete(live[pick].first,
-                                     live[pick].second.first)
-                            .ok());
-            ASSERT_TRUE(sharded.wm
-                            ->Delete(live[pick].first,
-                                     live[pick].second.second)
-                            .ok());
-            live.erase(live.begin() + static_cast<long>(pick));
-          } else {
-            const char* classes[] = {"A", "B", "C"};
-            std::string cls = classes[rng.Uniform(3)];
-            Tuple t{Value(static_cast<int64_t>(rng.Uniform(6))),
-                    Value(static_cast<int64_t>(rng.Uniform(4)))};
-            TupleId sid, pid;
-            ASSERT_TRUE(serial.wm->Insert(cls, t, &sid).ok());
-            ASSERT_TRUE(sharded.wm->Insert(cls, t, &pid).ok());
-            live.emplace_back(cls, std::make_pair(sid, pid));
-          }
-        }
-        ASSERT_TRUE(serial.wm->CommitBatch().ok());
-        ASSERT_TRUE(sharded.wm->CommitBatch().ok());
-        ASSERT_EQ(CanonicalConflictSet(*sharded.matcher),
-                  CanonicalConflictSet(*serial.matcher))
-            << "threads=" << threads << " hot=" << hot << " batch="
-            << batch;
-        // Recency-stamp determinism: the recency-ordered rule sequence
-        // must be byte-identical across thread counts (the ordered shard
-        // merge), pinning more than set equality.
-        auto by_recency = [](Matcher& m) {
-          std::vector<Instantiation> snap = m.conflict_set().Snapshot();
-          std::sort(snap.begin(), snap.end(),
-                    [](const Instantiation& a, const Instantiation& b) {
-                      return a.recency < b.recency;
-                    });
-          std::vector<std::string> names;
-          for (const Instantiation& inst : snap) {
-            names.push_back(inst.rule_name);
-          }
-          return names;
-        };
-        if (threads == 1) {
-          recency_ref.push_back(by_recency(*sharded.matcher));
+    Rng rng(7);  // same trace at every thread count
+    std::vector<std::pair<std::string, std::pair<TupleId, TupleId>>> live;
+    for (int batch = 0; batch < 25; ++batch) {
+      serial.wm->BeginBatch();
+      sharded.wm->BeginBatch();
+      for (int k = 0; k < 12; ++k) {
+        if (rng.Chance(0.3) && !live.empty()) {
+          size_t pick = rng.Uniform(live.size());
+          ASSERT_TRUE(
+              serial.wm->Delete(live[pick].first, live[pick].second.first)
+                  .ok());
+          ASSERT_TRUE(sharded.wm
+                          ->Delete(live[pick].first, live[pick].second.second)
+                          .ok());
+          live.erase(live.begin() + static_cast<long>(pick));
         } else {
-          ASSERT_EQ(by_recency(*sharded.matcher),
-                    recency_ref[static_cast<size_t>(batch)])
-              << "recency order diverged: threads=" << threads
-              << " hot=" << hot << " batch=" << batch;
+          const char* classes[] = {"A", "B", "C"};
+          std::string cls = classes[rng.Uniform(3)];
+          Tuple t{Value(static_cast<int64_t>(rng.Uniform(6))),
+                  Value(static_cast<int64_t>(rng.Uniform(4)))};
+          TupleId sid, pid;
+          ASSERT_TRUE(serial.wm->Insert(cls, t, &sid).ok());
+          ASSERT_TRUE(sharded.wm->Insert(cls, t, &pid).ok());
+          live.emplace_back(cls, std::make_pair(sid, pid));
         }
       }
+      ASSERT_TRUE(serial.wm->CommitBatch().ok());
+      ASSERT_TRUE(sharded.wm->CommitBatch().ok());
+      ASSERT_EQ(CanonicalConflictSet(*sharded.matcher),
+                CanonicalConflictSet(*serial.matcher))
+          << "threads=" << threads << " batch=" << batch;
+      ASSERT_EQ(ByRecency(*sharded.matcher), ByRecency(*serial.matcher))
+          << "recency order diverged from serial: threads=" << threads
+          << " batch=" << batch;
     }
   }
 }
 
-// Firing order under the recency strategy must be identical at 1, 2, and
-// 8 threads: conflict-resolution reads recency stamps, so any
-// nondeterminism in the shard merge would surface as a different firing
-// log.
-TEST(ShardedMatchTest, RecencyFiringOrderIndependentOfThreadCount) {
+// Firing order under the recency strategy must equal the serial query
+// matcher's at 1, 2, and 8 threads: conflict resolution reads recency
+// stamps, so any divergence in the commit order would surface as a
+// different firing log.
+TEST(ShardedMatchTest, RecencyFiringOrderMatchesSerialAtEveryThreadCount) {
   const char* program = R"(
 (literalize A k v)
 (literalize B k v)
 (p pair (A ^k <x> ^v <u>) (B ^k <x> ^v <w>) --> (remove 1))
 (p zero (A ^k <x> ^v 0) --> (remove 1))
 )";
-  std::vector<std::string> reference;
-  for (size_t threads : {1u, 2u, 8u}) {
+  auto run = [&](const std::function<std::unique_ptr<Matcher>(Catalog*)>&
+                     factory,
+                 std::vector<std::string>* log) {
     MatcherHarness h;
-    ASSERT_TRUE(h.Init(program,
-                       [&](Catalog* c) {
-                         ReteOptions opts;
-                         opts.sharding.num_shards = 8;
-                         opts.sharding.threads = threads;
-                         opts.sharding.hot_classes = {"A", "B"};
-                         return std::make_unique<ReteNetwork>(c, opts);
-                       })
-                    .ok());
+    ASSERT_TRUE(h.Init(program, factory).ok());
     SequentialEngineOptions sopts;
     sopts.strategy = StrategyKind::kRecency;
     SequentialEngine engine(h.catalog.get(), h.matcher.get(), sopts);
@@ -227,63 +152,18 @@ TEST(ShardedMatchTest, RecencyFiringOrderIndependentOfThreadCount) {
     EngineRunResult result;
     ASSERT_TRUE(engine.Run(&result).ok());
     EXPECT_GT(result.firings, 0u);
-    if (reference.empty()) {
-      reference = engine.firing_log();
-    } else {
-      EXPECT_EQ(engine.firing_log(), reference)
-          << "firing order diverged at threads=" << threads;
-    }
+    *log = engine.firing_log();
+  };
+  std::vector<std::string> reference;
+  run([](Catalog* c) { return std::make_unique<QueryMatcher>(c); },
+      &reference);
+  ASSERT_FALSE(reference.empty());
+  for (size_t threads : {1u, 2u, 8u}) {
+    std::vector<std::string> log;
+    run([&](Catalog* c) { return ShardedQuery(c, 8, threads); }, &log);
+    EXPECT_EQ(log, reference)
+        << "firing order diverged from serial at threads=" << threads;
   }
-}
-
-TEST(ShardedMatchTest, ShardStatsAccountForRoutingAndMerge) {
-  const char* program = R"(
-(literalize A k v)
-(literalize B k v)
-(p pair (A ^k <x> ^v <u>) (B ^k <x> ^v <w>) --> (remove 1))
-)";
-  MatcherHarness h;
-  ASSERT_TRUE(h.Init(program,
-                     [](Catalog* c) {
-                       ReteOptions opts;
-                       opts.sharding.num_shards = 4;
-                       opts.sharding.threads = 2;
-                       opts.sharding.hot_classes = {"A"};
-                       return std::make_unique<ReteNetwork>(c, opts);
-                     })
-                  .ok());
-  h.wm->BeginBatch();
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(
-        h.wm->Insert(i % 2 ? "A" : "B",
-                     Tuple{Value(i % 4), Value(i)})
-            .ok());
-  }
-  ASSERT_TRUE(h.wm->CommitBatch().ok());
-
-  std::vector<ShardStats> stats = h.matcher->ShardStatsSnapshot();
-  ASSERT_EQ(stats.size(), 4u);
-  uint64_t routed = 0, ops = 0;
-  for (const ShardStats& s : stats) {
-    routed += s.deltas_routed;
-    ops += s.conflict_ops;
-  }
-  // A is hot, so the rule replicates into every shard — and each replica
-  // hooks alpha nodes for BOTH of its CEs there. All 4 shards therefore
-  // consume all 32 deltas (B's right-memory fan-in is the documented
-  // cost of hot replication).
-  EXPECT_EQ(routed, 4u * 32u);
-  EXPECT_EQ(ops, h.matcher->conflict_set().size());
-  EXPECT_GE(ShardImbalance(stats), 1.0);
-  // Serial matchers report no shard stats.
-  MatcherHarness serial;
-  ASSERT_TRUE(serial
-                  .Init(program,
-                        [](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c);
-                        })
-                  .ok());
-  EXPECT_TRUE(serial.matcher->ShardStatsSnapshot().empty());
 }
 
 TEST(ShardedMatchTest, QueryMatcherShardStatsAndName) {
@@ -293,15 +173,8 @@ TEST(ShardedMatchTest, QueryMatcherShardStatsAndName) {
 (p pair (A ^k <x> ^v <u>) (B ^k <x> ^v <w>) --> (remove 1))
 )";
   MatcherHarness h;
-  ASSERT_TRUE(h.Init(program,
-                     [](Catalog* c) {
-                       ShardingOptions so;
-                       so.num_shards = 4;
-                       so.threads = 2;
-                       return std::make_unique<QueryMatcher>(
-                           c, ExecutorOptions{}, so);
-                     })
-                  .ok());
+  ASSERT_TRUE(
+      h.Init(program, [](Catalog* c) { return ShardedQuery(c, 4, 2); }).ok());
   EXPECT_EQ(h.matcher->name(), "query-shard");
   h.wm->BeginBatch();
   for (int i = 0; i < 16; ++i) {
@@ -312,174 +185,61 @@ TEST(ShardedMatchTest, QueryMatcherShardStatsAndName) {
   ASSERT_TRUE(h.wm->CommitBatch().ok());
   std::vector<ShardStats> stats = h.matcher->ShardStatsSnapshot();
   ASSERT_EQ(stats.size(), 4u);
-  uint64_t routed = 0;
-  for (const ShardStats& s : stats) routed += s.deltas_routed;
-  EXPECT_GT(routed, 0u);
+  // Every insert seeds exactly one CE, and seeds split round-robin by
+  // index: 16 seeds over 4 shards is 4 each. Both seeds of a joining
+  // A/B pair find it, so each committed instantiation is produced twice.
+  uint64_t ops = 0;
+  for (const ShardStats& s : stats) {
+    EXPECT_EQ(s.deltas_routed, 4u);
+    ops += s.conflict_ops;
+  }
+  EXPECT_DOUBLE_EQ(ShardImbalance(stats), 1.0);
+  EXPECT_EQ(ops, 2 * h.matcher->conflict_set().size());
+
+  // Serial matchers report no shard stats.
+  for (auto factory :
+       std::vector<std::function<std::unique_ptr<Matcher>(Catalog*)>>{
+           [](Catalog* c) { return std::make_unique<QueryMatcher>(c); },
+           [](Catalog* c) { return std::make_unique<ReteNetwork>(c); }}) {
+    MatcherHarness serial;
+    ASSERT_TRUE(serial.Init(program, factory).ok());
+    EXPECT_TRUE(serial.matcher->ShardStatsSnapshot().empty());
+  }
 }
 
 // The concurrent engine commits transactions from worker threads while
-// the sharded matcher fans propagation out onto its own pool — the
+// the sharded matcher fans seeded evaluation out onto its own pool — the
 // matcher-internal batch lock must keep the two safe together (TSan
 // covers this test in CI).
-TEST(ShardedMatchTest, ConcurrentEngineDrivesShardedRete) {
-  MatcherHarness h;
-  ASSERT_TRUE(h.Init(R"(
+TEST(ShardedMatchTest, ConcurrentEngineDrivesShardedQuery) {
+  for (size_t threads : {1u, 2u, 8u}) {
+    MatcherHarness h;
+    ASSERT_TRUE(h.Init(R"(
 (literalize A id n)
 (literalize B id n)
-(p ab (A ^id <i> ^n <x>) (B ^id <i> ^n <y>) --> (remove 1) (remove 2))
+(literalize C id)
+(p ab (A ^id <i> ^n <x>) (B ^id <i> ^n <y>)
+   --> (remove 1) (remove 2) (make C ^id <i>))
+(p c (C ^id <i>) --> (remove 1))
 )",
-                     [](Catalog* c) {
-                       ReteOptions opts;
-                       opts.sharding.num_shards = 4;
-                       opts.sharding.threads = 2;
-                       opts.sharding.hot_classes = {"A", "B"};
-                       return std::make_unique<ReteNetwork>(c, opts);
-                     })
-                  .ok());
-  LockManager locks;
-  ConcurrentEngineOptions opts;
-  opts.workers = 4;
-  ConcurrentEngine engine(h.catalog.get(), h.matcher.get(), &locks, opts);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(engine.Insert("A", Tuple{Value(i), Value(i)}).ok());
-    ASSERT_TRUE(engine.Insert("B", Tuple{Value(i), Value(i)}).ok());
-  }
-  ConcurrentRunResult result;
-  ASSERT_TRUE(engine.Run(&result).ok());
-  EXPECT_EQ(result.firings, 24u);
-  EXPECT_EQ(h.catalog->Get("A")->Count(), 0u);
-  EXPECT_EQ(h.catalog->Get("B")->Count(), 0u);
-}
-
-// Sharded WM apply: class-routed parallel application must leave the
-// relations and matcher in the same state as the serial walk, with
-// per-relation insert ids assigned in delta order.
-TEST(ShardedMatchTest, WorkingMemoryShardedApplyMatchesSerial) {
-  const char* program = R"(
-(literalize A k v)
-(literalize B k v)
-(p pair (A ^k <x> ^v <u>) (B ^k <x> ^v <w>) --> (remove 1))
-)";
-  MatcherHarness serial, sharded;
-  auto factory = [](Catalog* c) { return std::make_unique<ReteNetwork>(c); };
-  ASSERT_TRUE(serial.Init(program, factory).ok());
-  ASSERT_TRUE(sharded.Init(program, factory).ok());
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 4;
-  ASSERT_TRUE(sharded.wm->ConfigureSharding(so).ok());
-
-  ChangeSet cs1, cs2;
-  for (int i = 0; i < 64; ++i) {
-    const std::string cls = i % 2 ? "A" : "B";
-    Tuple t{Value(i % 8), Value(i)};
-    cs1.AddInsert(cls, t);
-    cs2.AddInsert(cls, t);
-  }
-  ASSERT_TRUE(serial.wm->Apply(&cs1).ok());
-  ASSERT_TRUE(sharded.wm->Apply(&cs2).ok());
-  // Same ids per relation (one relation = one shard = serial order).
-  for (size_t i = 0; i < cs1.size(); ++i) {
-    EXPECT_EQ(cs1[i].id, cs2[i].id) << "delta " << i;
-  }
-  EXPECT_EQ(CanonicalConflictSet(*sharded.matcher),
-            CanonicalConflictSet(*serial.matcher));
-}
-
-// Regression: ConfigureSharding used to silently accept a mid-stream
-// call, re-routing deltas after the matcher had already partitioned its
-// state under the old map — silent divergence. It must refuse instead.
-TEST(ShardedMatchTest, ConfigureShardingMidStreamIsAnError) {
-  const char* program = R"(
-(literalize A k v)
-(p some (A ^k <x> ^v <u>) --> (remove 1))
-)";
-  MatcherHarness h;
-  auto factory = [](Catalog* c) { return std::make_unique<ReteNetwork>(c); };
-  ASSERT_TRUE(h.Init(program, factory).ok());
-
-  ASSERT_TRUE(h.wm->Insert("A", Tuple{Value(1), Value(2)}).ok());
-
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 4;
-  Status st = h.wm->ConfigureSharding(so);
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-
-  // The refused call changed nothing: the WM keeps working serially.
-  ASSERT_TRUE(h.wm->Insert("A", Tuple{Value(2), Value(3)}).ok());
-  EXPECT_EQ(h.matcher->conflict_set().size(), 2u);
-
-  // Every mutation flavor arms the guard, not just Insert.
-  MatcherHarness h2;
-  ASSERT_TRUE(h2.Init(program, factory).ok());
-  ChangeSet cs;
-  cs.AddInsert("A", Tuple{Value(9), Value(9)});
-  ASSERT_TRUE(h2.wm->Apply(&cs).ok());
-  EXPECT_TRUE(h2.wm->ConfigureSharding(so).IsInvalidArgument());
-}
-
-// The WAL-forced serial fallback of the sharded WM apply is counted:
-// a multi-delta Apply on a sharded WM over a WAL-attached catalog takes
-// the serial walk and bumps sharded_apply_serialized once per batch
-// (DESIGN.md "Sharded match × durability"). Without a WAL the parallel
-// path runs and the counter stays zero.
-TEST(ShardedMatchTest, WalForcedSerialApplyIsCounted) {
-  const char* program = R"(
-(literalize A k v)
-(literalize B k v)
-(p pair (A ^k <x>) (B ^k <x>) --> (remove 1))
-)";
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 4;
-
-  auto make_batch = [] {
-    ChangeSet cs;
-    for (int i = 0; i < 16; ++i) {
-      cs.AddInsert(i % 2 ? "A" : "B", Tuple{Value(i % 4), Value(i)});
+                       [&](Catalog* c) { return ShardedQuery(c, 4, threads); })
+                    .ok());
+    LockManager locks;
+    ConcurrentEngineOptions opts;
+    opts.workers = 4;
+    ConcurrentEngine engine(h.catalog.get(), h.matcher.get(), &locks, opts);
+    for (int i = 0; i < 24; ++i) {
+      ASSERT_TRUE(engine.Insert("A", Tuple{Value(i), Value(i)}).ok());
+      ASSERT_TRUE(engine.Insert("B", Tuple{Value(i), Value(i)}).ok());
     }
-    return cs;
-  };
-
-  // WAL-attached: serial fallback, counted per multi-delta batch.
-  {
-    CatalogOptions copts;
-    copts.default_storage = StorageKind::kPaged;
-    copts.enable_wal = true;
-    auto catalog = std::make_unique<Catalog>(copts);
-    std::vector<Rule> rules;
-    ASSERT_TRUE(LoadProgram(program, catalog.get(), &rules).ok());
-    ReteNetwork matcher(catalog.get());
-    for (const Rule& r : rules) ASSERT_TRUE(matcher.AddRule(r).ok());
-    WorkingMemory wm(catalog.get(), &matcher);
-    ASSERT_TRUE(wm.ConfigureSharding(so).ok());
-
-    ChangeSet cs = make_batch();
-    ASSERT_TRUE(wm.Apply(&cs).ok());
-    EXPECT_EQ(matcher.stats().sharded_apply_serialized.load(), 1u);
-    ChangeSet cs2 = make_batch();
-    ASSERT_TRUE(wm.Apply(&cs2).ok());
-    EXPECT_EQ(matcher.stats().sharded_apply_serialized.load(), 2u);
-
-    // Single-delta batches never took the parallel path to begin with.
-    ChangeSet one;
-    one.AddInsert("A", Tuple{Value(99), Value(99)});
-    ASSERT_TRUE(wm.Apply(&one).ok());
-    EXPECT_EQ(matcher.stats().sharded_apply_serialized.load(), 2u);
-  }
-
-  // No WAL: parallel apply engages, nothing to count.
-  {
-    MatcherHarness h;
-    auto factory = [](Catalog* c) {
-      return std::make_unique<ReteNetwork>(c);
-    };
-    ASSERT_TRUE(h.Init(program, factory).ok());
-    ASSERT_TRUE(h.wm->ConfigureSharding(so).ok());
-    ChangeSet cs = make_batch();
-    ASSERT_TRUE(h.wm->Apply(&cs).ok());
-    EXPECT_EQ(h.matcher->stats().sharded_apply_serialized.load(), 0u);
+    ConcurrentRunResult result;
+    ASSERT_TRUE(engine.Run(&result).ok());
+    // Each `ab` commit is a three-delta batch (two removes, one make),
+    // so the sharded OnBatch path runs from the worker threads.
+    EXPECT_EQ(result.firings, 48u) << "threads=" << threads;
+    EXPECT_EQ(h.catalog->Get("A")->Count(), 0u);
+    EXPECT_EQ(h.catalog->Get("B")->Count(), 0u);
+    EXPECT_EQ(h.catalog->Get("C")->Count(), 0u);
   }
 }
 

@@ -40,9 +40,8 @@ int Usage(const char* argv0) {
       "          [--rules=FILE] [--matcher=rete|rete-dbms|query|pattern]\n"
       "          [--shards=N] [--shard_threads=N] [--planner]\n"
       "          [--workers=N] [--frames=N] [--no_load]\n"
-      "  --shards shards the rete, rete-dbms and query matchers; with\n"
-      "  the pattern matcher (the default) served batches are not\n"
-      "  sharded, only the sequential engine's WM apply is.\n",
+      "  --shards above 1 requires --matcher=query: only the query\n"
+      "  matcher runs its match on several threads.\n",
       argv0);
   return 2;
 }
@@ -102,6 +101,9 @@ int main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+  }
+  if (shards > 1 && opts.system.matcher != prodb::MatcherKind::kQuery) {
+    return Usage(argv[0]);
   }
   if (shards > 0) {
     opts.system.sharding.num_shards = shards;
