@@ -92,13 +92,17 @@ void RunIncremental(benchmark::State& state, const std::string& matcher) {
   rule.lhs = ViewQuery();
   auto m = bench::MakeMatcherByName(matcher, &catalog);
   Check(m->AddRule(rule));
-  // Register pre-existing contents with the matcher (view population).
-  Check(catalog.Get("Emp")->Scan([&](TupleId id, const Tuple& t) {
-    return m->OnInsert("Emp", id, t);
-  }));
-  Check(catalog.Get("Dept")->Scan([&](TupleId id, const Tuple& t) {
-    return m->OnInsert("Dept", id, t);
-  }));
+  // Register pre-existing contents with the matcher (view population):
+  // one batch over the scanned tuples, as ProductionSystem::ReseedMatcher
+  // does.
+  ChangeSet population;
+  for (const char* cls : {"Emp", "Dept"}) {
+    Check(catalog.Get(cls)->Scan([&](TupleId id, const Tuple& t) {
+      population.AddInsert(cls, t, id);
+      return Status::OK();
+    }));
+  }
+  Check(m->OnBatch(population));
   WorkingMemory wm(&catalog, m.get());
 
   for (auto _ : state) {

@@ -13,18 +13,6 @@ void MatcherStats::ObserveCardEstimate(double estimated, double actual) {
   est_card_samples.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status Matcher::OnBatch(const ChangeSet& batch) {
-  if (MatcherStats* s = mutable_stats()) ++s->batches;
-  for (const Delta& d : batch) {
-    if (d.is_insert()) {
-      PRODB_RETURN_IF_ERROR(OnInsert(d.relation, d.id, d.tuple));
-    } else {
-      PRODB_RETURN_IF_ERROR(OnDelete(d.relation, d.id, d.tuple));
-    }
-  }
-  return Status::OK();
-}
-
 Status MaterializeInstantiations(Catalog* catalog, const Rule& rule,
                                  int rule_index, const Binding& binding,
                                  std::vector<Instantiation>* out,

@@ -85,19 +85,11 @@ class Matcher {
   /// may precompute networks or COND relations here.
   virtual Status AddRule(const Rule& rule) = 0;
 
-  /// A tuple was inserted into WM relation `rel` with id `id`.
-  virtual Status OnInsert(const std::string& rel, TupleId id,
-                          const Tuple& t) = 0;
-
-  /// A tuple was deleted from WM relation `rel`.
-  virtual Status OnDelete(const std::string& rel, TupleId id,
-                          const Tuple& t) = 0;
-
-  /// A whole set of WM changes arrives at once — a transaction's ∆ins/∆del
-  /// (§5.2) or a bulk load. Relations already reflect the entire batch
-  /// when this is called. The default walks the deltas in order through
-  /// OnInsert/OnDelete; matchers override it to propagate set-at-a-time.
-  virtual Status OnBatch(const ChangeSet& batch);
+  /// The one maintenance entry point: a whole set of WM changes — a
+  /// transaction's ∆ins/∆del (§5.2), a single out-of-batch update, or a
+  /// bulk load. Relations already reflect the entire batch when this is
+  /// called; the matcher brings its conflict set up to date with it.
+  virtual Status OnBatch(const ChangeSet& batch) = 0;
 
   virtual ConflictSet& conflict_set() = 0;
 
@@ -114,12 +106,6 @@ class Matcher {
 
   /// Registered rules (shared helper for engines).
   virtual const std::vector<Rule>& rules() const = 0;
-
- protected:
-  /// Writable stats, used by the shared OnBatch bookkeeping. Matchers
-  /// that keep a MatcherStats return it here so batch accounting is
-  /// uniform across architectures.
-  virtual MatcherStats* mutable_stats() { return nullptr; }
 };
 
 /// Materializes instantiations from a fully bound rule: per positive CE,

@@ -1,13 +1,15 @@
 #include "match/pattern_matcher.h"
 
 #include <set>
-#include <unordered_set>
 
 namespace prodb {
 
 PatternMatcher::PatternMatcher(Catalog* catalog,
                                PatternMatcherOptions options)
-    : catalog_(catalog), options_(options), executor_(catalog) {
+    : catalog_(catalog),
+      options_(options),
+      executor_(catalog),
+      dispatch_(&stats_, options.discriminate_dispatch) {
   executor_.set_stats(&stats_);
 }
 
@@ -35,8 +37,12 @@ Status PatternMatcher::EnsureCondStore(const std::string& cls,
 }
 
 Status PatternMatcher::AddRule(const Rule& rule) {
-  int rule_index = static_cast<int>(rules_.size());
+  const int rule_index = static_cast<int>(rules().size());
   const size_t n = rule.lhs.conditions.size();
+  // Hash indexes on WM attributes in equality tests, so materialization
+  // and seeded re-evaluation probe instead of scanning (§4.1.2).
+  PRODB_RETURN_IF_ERROR(
+      dispatch_.AddRule(catalog_, rule, options_.declare_wm_indexes));
 
   // Precompute shared (kEq) variables between every ordered CE pair.
   std::vector<std::set<int>> eq_vars(n);
@@ -57,34 +63,15 @@ Status PatternMatcher::AddRule(const Rule& rule) {
   }
   shared_vars_.push_back(std::move(shared));
 
-  // Register CEs, create COND relations, write the original rows.
+  // Create COND relations and write the original rows.
   for (size_t ce = 0; ce < n; ++ce) {
     const ConditionSpec& c = rule.lhs.conditions[ce];
     CondStore* store;
     PRODB_RETURN_IF_ERROR(EnsureCondStore(c.relation, &store));
-    auto& bucket = c.negated ? negative_by_class_[c.relation]
-                             : positive_by_class_[c.relation];
-    auto& disc =
-        c.negated ? negative_disc_[c.relation] : positive_disc_[c.relation];
-    disc.Add(static_cast<uint32_t>(bucket.size()), c.constant_tests);
-    disc.Seal();
-    bucket.push_back(CeRef{rule_index, static_cast<int>(ce)});
 
     // Original COND row: constants where the CE tests equality against a
     // constant, null (variable / don't-care) elsewhere.
     Relation* wm = catalog_->Get(c.relation);
-    if (options_.declare_wm_indexes) {
-      for (const VarUse& u : c.var_uses) {
-        if (u.op == CompareOp::kEq && !wm->HasHashIndex(u.attr)) {
-          PRODB_RETURN_IF_ERROR(wm->CreateHashIndex(u.attr));
-        }
-      }
-      for (const ConstantTest& ct : c.constant_tests) {
-        if (ct.op == CompareOp::kEq && !wm->HasHashIndex(ct.attr)) {
-          PRODB_RETURN_IF_ERROR(wm->CreateHashIndex(ct.attr));
-        }
-      }
-    }
     Tuple row;
     auto& vals = row.mutable_values();
     vals.emplace_back(static_cast<int64_t>(rule_index));
@@ -122,29 +109,7 @@ Status PatternMatcher::AddRule(const Rule& rule) {
         &id));
   }
 
-  rules_.push_back(rule);
   return Status::OK();
-}
-
-void PatternMatcher::DispatchTargets(bool negated, const std::string& rel,
-                                     size_t n, const Tuple& t,
-                                     std::vector<uint32_t>* out) {
-  out->clear();
-  if (options_.discriminate_dispatch) {
-    out->reserve(last_candidates_.load(std::memory_order_relaxed));
-    const auto& discs = negated ? negative_disc_ : positive_disc_;
-    auto it = discs.find(rel);
-    if (it != discs.end()) it->second.Lookup(t, out);
-    last_candidates_.store(static_cast<uint32_t>(out->size()),
-                           std::memory_order_relaxed);
-    stats_.candidates_visited += out->size();
-  } else {
-    out->reserve(n);
-    for (uint32_t i = 0; i < static_cast<uint32_t>(n); ++i) {
-      out->push_back(i);
-    }
-  }
-  stats_.alpha_tests_evaluated += out->size();
 }
 
 std::string PatternMatcher::ProjectionKey(const Binding& b) {
@@ -172,7 +137,7 @@ Status PatternMatcher::BumpPattern(int rule, int target_ce,
                                    const Binding& projected,
                                    int contributor_ce, int delta) {
   const ConditionSpec& target =
-      rules_[static_cast<size_t>(rule)].lhs.conditions
+      rules()[static_cast<size_t>(rule)].lhs.conditions
           [static_cast<size_t>(target_ce)];
   auto sit = cond_stores_.find(target.relation);
   if (sit == cond_stores_.end()) {
@@ -189,7 +154,7 @@ Status PatternMatcher::BumpPattern(int rule, int target_ce,
       PatternEntry entry;
       entry.binding = projected;
       entry.counters.assign(
-          rules_[static_cast<size_t>(rule)].lhs.conditions.size(), 0);
+          rules()[static_cast<size_t>(rule)].lhs.conditions.size(), 0);
       entry.counters[static_cast<size_t>(contributor_ce)] = 1;
       // Materialize the pattern as a COND row: narrowed copy of the
       // original condition tuple (variables replaced by values).
@@ -248,7 +213,7 @@ Status PatternMatcher::BumpPattern(int rule, int target_ce,
 }
 
 bool PatternMatcher::Supported(int rule, int ce, const Binding& beta) const {
-  const Rule& r = rules_[static_cast<size_t>(rule)];
+  const Rule& r = rules()[static_cast<size_t>(rule)];
   const ConditionSpec& own = r.lhs.conditions[static_cast<size_t>(ce)];
   auto sit = cond_stores_.find(own.relation);
   if (sit == cond_stores_.end()) return false;
@@ -309,292 +274,80 @@ Status PatternMatcher::FlushOps(std::vector<PropagationOp>* ops) {
   return result;
 }
 
-Status PatternMatcher::OnInsert(const std::string& rel, TupleId id,
-                                const Tuple& t) {
+Status PatternMatcher::OnBatch(const ChangeSet& batch) {
+  ++stats_.batches;
   std::vector<uint32_t> cands;
-  auto pit = positive_by_class_.find(rel);
-  if (pit != positive_by_class_.end()) {
-    std::vector<PropagationOp> ops;
-    DispatchTargets(false, rel, pit->second.size(), t, &cands);
+
+  // Retire instantiations that use a deleted tuple or that an inserted
+  // negated-CE witness blocks.
+  const DeletedTuples deleted(batch);
+  dispatch_.RetireInvalidated(batch, deleted, &conflict_set_, &cands);
+
+  // Walk the deltas in order, accumulating ±1 pattern bumps (§4.2.2's
+  // counters); flush only when a later insert needs to read pattern
+  // support, so runs of deltas propagate to the COND relations in one
+  // wave. Mixed-sign queues flush sequentially, preserving bump order.
+  std::vector<PropagationOp> ops;
+  for (const Delta& d : batch) {
+    // Match via one COND search (the conflict set is updated *before*
+    // maintenance — the ordering §4.2.3 highlights). A tuple also
+    // deleted later in the batch is never seeded: the removal pass
+    // already ran, and EvaluateSeeded force-includes its seed.
+    const bool seed = d.is_insert() && !deleted.Contains(d.relation, d.id);
+    const int sign = d.is_insert() ? +1 : -1;
+    const CondDispatch::Bucket* bucket =
+        dispatch_.Candidates(false, d.relation, d.tuple, &cands);
     for (uint32_t pos : cands) {
-      const CeRef& ref = pit->second[pos];
-      const Rule& rule = rules_[static_cast<size_t>(ref.rule)];
+      const CeRef& ref = (*bucket)[pos];
+      const Rule& rule = rules()[static_cast<size_t>(ref.rule)];
       const ConditionSpec& ce =
           rule.lhs.conditions[static_cast<size_t>(ref.ce)];
       Binding beta;
-      if (!BindSingle(ce, t, rule.lhs.num_vars, &beta)) continue;
-
-      // 1. Match: one search over COND-<rel> (the conflict set is
-      //    updated *before* maintenance — the ordering §4.2.3 highlights).
-      if (Supported(ref.rule, ref.ce, beta)) {
-        std::vector<QueryMatch> matches;
-        PRODB_RETURN_IF_ERROR(executor_.EvaluateSeeded(
-            rule.lhs, static_cast<size_t>(ref.ce), id, t, &matches));
-        for (QueryMatch& m : matches) {
-          Instantiation inst;
-          inst.rule_index = ref.rule;
-          inst.rule_name = rule.name;
-          inst.tuple_ids = std::move(m.tuple_ids);
-          inst.tuples = std::move(m.tuples);
-          inst.binding = std::move(m.binding);
-          conflict_set_.Add(std::move(inst));
+      if (!BindSingle(ce, d.tuple, rule.lhs.num_vars, &beta)) continue;
+      if (seed) {
+        PRODB_RETURN_IF_ERROR(FlushOps(&ops));
+        if (Supported(ref.rule, ref.ce, beta)) {
+          std::vector<QueryMatch> matches;
+          PRODB_RETURN_IF_ERROR(executor_.EvaluateSeeded(
+              rule.lhs, static_cast<size_t>(ref.ce), d.id, d.tuple,
+              &matches));
+          for (QueryMatch& m : matches) {
+            Instantiation inst;
+            inst.rule_index = ref.rule;
+            inst.rule_name = rule.name;
+            inst.tuple_ids = std::move(m.tuple_ids);
+            inst.tuples = std::move(m.tuples);
+            inst.binding = std::move(m.binding);
+            conflict_set_.Add(std::move(inst));
+          }
         }
       }
-
-      // 2. Maintenance: queue pattern propagation to related classes.
+      // Maintenance: queue pattern propagation to related classes.
       for (size_t k = 0; k < rule.lhs.conditions.size(); ++k) {
         if (static_cast<int>(k) == ref.ce ||
             rule.lhs.conditions[k].negated) {
           continue;
         }
         ops.push_back(PropagationOp{
-            ref.rule, static_cast<int>(k), ref.ce, +1,
+            ref.rule, static_cast<int>(k), ref.ce, sign,
             Project(ref.rule, ref.ce, static_cast<int>(k), beta)});
       }
     }
-    PRODB_RETURN_IF_ERROR(FlushOps(&ops));
-  }
-
-  // Negated CEs over this class: consistent instantiations die.
-  auto nit = negative_by_class_.find(rel);
-  if (nit != negative_by_class_.end()) {
-    DispatchTargets(true, rel, nit->second.size(), t, &cands);
+    if (d.is_insert()) continue;
+    // Deletion from a negated class may enable instantiations: evaluate
+    // the rule under the binding the blocker carried.
+    bucket = dispatch_.Candidates(true, d.relation, d.tuple, &cands);
     for (uint32_t pos : cands) {
-      const CeRef& ref = nit->second[pos];
-      const ConditionSpec& ce =
-          rules_[static_cast<size_t>(ref.rule)].lhs.conditions
-              [static_cast<size_t>(ref.ce)];
-      conflict_set_.RemoveIf([&](const Instantiation& inst) {
-        if (inst.rule_index != ref.rule) return false;
-        Binding b = inst.binding;
-        return TupleConsistent(ce, t, &b);
-      });
-    }
-  }
-  return Status::OK();
-}
-
-Status PatternMatcher::OnDelete(const std::string& rel, TupleId id,
-                                const Tuple& t) {
-  // Drop instantiations that used the tuple.
-  conflict_set_.RemoveIf([&](const Instantiation& inst) {
-    const Rule& rule = rules_[static_cast<size_t>(inst.rule_index)];
-    for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-      if (rule.lhs.conditions[ce].relation == rel &&
-          !rule.lhs.conditions[ce].negated && inst.tuple_ids[ce] == id) {
-        return true;
-      }
-    }
-    return false;
-  });
-
-  // Decrement / remove the matching patterns this tuple contributed
-  // (§4.2.2: "instead of setting Mark bits, we reset them ... Mark bits
-  // can be easily replaced by counters"). Candidate filtering preserves
-  // insert/delete symmetry: a tuple bumps a pattern only if BindSingle
-  // accepted it, which requires its constant tests to pass — and the
-  // candidate set always contains every CE whose constant tests pass.
-  std::vector<uint32_t> cands;
-  auto pit = positive_by_class_.find(rel);
-  if (pit != positive_by_class_.end()) {
-    DispatchTargets(false, rel, pit->second.size(), t, &cands);
-    for (uint32_t pos : cands) {
-      const CeRef& ref = pit->second[pos];
-      const Rule& rule = rules_[static_cast<size_t>(ref.rule)];
+      const CeRef& ref = (*bucket)[pos];
+      const Rule& rule = rules()[static_cast<size_t>(ref.rule)];
       const ConditionSpec& ce =
           rule.lhs.conditions[static_cast<size_t>(ref.ce)];
       Binding beta;
-      if (!BindSingle(ce, t, rule.lhs.num_vars, &beta)) continue;
-      for (size_t k = 0; k < rule.lhs.conditions.size(); ++k) {
-        if (static_cast<int>(k) == ref.ce ||
-            rule.lhs.conditions[k].negated) {
-          continue;
-        }
-        PRODB_RETURN_IF_ERROR(BumpPattern(
-            ref.rule, static_cast<int>(k),
-            Project(ref.rule, ref.ce, static_cast<int>(k), beta), ref.ce,
-            -1));
-      }
-      ++stats_.propagations;
-    }
-  }
-
-  // Deletion from a negated class may enable instantiations: evaluate
-  // the rule under the binding the blocker carried.
-  auto nit = negative_by_class_.find(rel);
-  if (nit != negative_by_class_.end()) {
-    DispatchTargets(true, rel, nit->second.size(), t, &cands);
-    for (uint32_t pos : cands) {
-      const CeRef& ref = nit->second[pos];
-      const Rule& rule = rules_[static_cast<size_t>(ref.rule)];
-      const ConditionSpec& ce =
-          rule.lhs.conditions[static_cast<size_t>(ref.ce)];
-      Binding beta;
-      if (!BindSingle(ce, t, rule.lhs.num_vars, &beta)) continue;
-      // Keep only the variables the rule binds positively: those are the
-      // join points the blocker constrained.
+      if (!BindSingle(ce, d.tuple, rule.lhs.num_vars, &beta)) continue;
       std::vector<Instantiation> insts;
       PRODB_RETURN_IF_ERROR(MaterializeInstantiations(
           catalog_, rule, ref.rule, beta, &insts, &stats_));
       for (Instantiation& inst : insts) conflict_set_.Add(std::move(inst));
-    }
-  }
-  return Status::OK();
-}
-
-Status PatternMatcher::OnBatch(const ChangeSet& batch) {
-  ++stats_.batches;
-  if (batch.size() == 1) {
-    const Delta& d = batch[0];
-    return d.is_insert() ? OnInsert(d.relation, d.id, d.tuple)
-                         : OnDelete(d.relation, d.id, d.tuple);
-  }
-
-  std::vector<uint32_t> cands;
-
-  // One conflict-set pass retiring instantiations that reference any
-  // deleted tuple at a positive CE (per-tuple pays one pass per delete).
-  std::unordered_map<std::string, std::unordered_set<TupleId, TupleIdHash>>
-      deleted;
-  for (const Delta& d : batch) {
-    if (d.is_delete()) deleted[d.relation].insert(d.id);
-  }
-  if (!deleted.empty()) {
-    conflict_set_.RemoveIf([&](const Instantiation& inst) {
-      const Rule& rule = rules_[static_cast<size_t>(inst.rule_index)];
-      for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-        if (rule.lhs.conditions[ce].negated) continue;
-        auto it = deleted.find(rule.lhs.conditions[ce].relation);
-        if (it != deleted.end() && it->second.count(inst.tuple_ids[ce])) {
-          return true;
-        }
-      }
-      return false;
-    });
-  }
-
-  // One pass retiring instantiations blocked by inserted negated-CE
-  // witnesses, restricted to the (delta, CE) pairs the discrimination
-  // index says can interact; later additions evaluate against post-batch
-  // WM, so they are censored by the blockers already.
-  std::vector<std::pair<const Delta*, const CeRef*>> blockers;
-  for (const Delta& d : batch) {
-    if (!d.is_insert()) continue;
-    auto nit = negative_by_class_.find(d.relation);
-    if (nit == negative_by_class_.end()) continue;
-    DispatchTargets(true, d.relation, nit->second.size(), d.tuple, &cands);
-    for (uint32_t pos : cands) {
-      blockers.emplace_back(&d, &nit->second[pos]);
-    }
-  }
-  if (!blockers.empty()) {
-    conflict_set_.RemoveIf([&](const Instantiation& inst) {
-      for (const auto& [d, ref] : blockers) {
-        if (ref->rule != inst.rule_index) continue;
-        const ConditionSpec& ce =
-            rules_[static_cast<size_t>(ref->rule)].lhs.conditions
-                [static_cast<size_t>(ref->ce)];
-        Binding b = inst.binding;
-        if (TupleConsistent(ce, d->tuple, &b)) return true;
-      }
-      return false;
-    });
-  }
-
-  // Walk the deltas in order, accumulating ±1 pattern bumps; flush only
-  // when a later insert needs to read pattern support, so runs of deltas
-  // propagate to the COND relations in one wave. Mixed-sign queues flush
-  // sequentially, preserving bump order.
-  std::vector<PropagationOp> ops;
-  auto dead = [&](const Delta& d) {
-    auto it = deleted.find(d.relation);
-    return it != deleted.end() && it->second.count(d.id) > 0;
-  };
-  for (const Delta& d : batch) {
-    auto pit = positive_by_class_.find(d.relation);
-    if (d.is_insert()) {
-      if (pit != positive_by_class_.end()) {
-        DispatchTargets(false, d.relation, pit->second.size(), d.tuple,
-                        &cands);
-        for (uint32_t pos : cands) {
-          const CeRef& ref = pit->second[pos];
-          const Rule& rule = rules_[static_cast<size_t>(ref.rule)];
-          const ConditionSpec& ce =
-              rule.lhs.conditions[static_cast<size_t>(ref.ce)];
-          Binding beta;
-          if (!BindSingle(ce, d.tuple, rule.lhs.num_vars, &beta)) continue;
-          // Match via one COND search; a tuple also deleted later in the
-          // batch is never seeded (the removal pass already ran, and
-          // EvaluateSeeded force-includes its seed).
-          if (!dead(d)) {
-            PRODB_RETURN_IF_ERROR(FlushOps(&ops));
-            if (Supported(ref.rule, ref.ce, beta)) {
-              std::vector<QueryMatch> matches;
-              PRODB_RETURN_IF_ERROR(executor_.EvaluateSeeded(
-                  rule.lhs, static_cast<size_t>(ref.ce), d.id, d.tuple,
-                  &matches));
-              for (QueryMatch& m : matches) {
-                Instantiation inst;
-                inst.rule_index = ref.rule;
-                inst.rule_name = rule.name;
-                inst.tuple_ids = std::move(m.tuple_ids);
-                inst.tuples = std::move(m.tuples);
-                inst.binding = std::move(m.binding);
-                conflict_set_.Add(std::move(inst));
-              }
-            }
-          }
-          for (size_t k = 0; k < rule.lhs.conditions.size(); ++k) {
-            if (static_cast<int>(k) == ref.ce ||
-                rule.lhs.conditions[k].negated) {
-              continue;
-            }
-            ops.push_back(PropagationOp{
-                ref.rule, static_cast<int>(k), ref.ce, +1,
-                Project(ref.rule, ref.ce, static_cast<int>(k), beta)});
-          }
-        }
-      }
-      continue;
-    }
-    // Delete: queue counter decrements (§4.2.2's counters) and re-derive
-    // instantiations a negated-CE blocker was suppressing.
-    if (pit != positive_by_class_.end()) {
-      DispatchTargets(false, d.relation, pit->second.size(), d.tuple,
-                      &cands);
-      for (uint32_t pos : cands) {
-        const CeRef& ref = pit->second[pos];
-        const Rule& rule = rules_[static_cast<size_t>(ref.rule)];
-        const ConditionSpec& ce =
-            rule.lhs.conditions[static_cast<size_t>(ref.ce)];
-        Binding beta;
-        if (!BindSingle(ce, d.tuple, rule.lhs.num_vars, &beta)) continue;
-        for (size_t k = 0; k < rule.lhs.conditions.size(); ++k) {
-          if (static_cast<int>(k) == ref.ce ||
-              rule.lhs.conditions[k].negated) {
-            continue;
-          }
-          ops.push_back(PropagationOp{
-              ref.rule, static_cast<int>(k), ref.ce, -1,
-              Project(ref.rule, ref.ce, static_cast<int>(k), beta)});
-        }
-      }
-    }
-    auto nit = negative_by_class_.find(d.relation);
-    if (nit != negative_by_class_.end()) {
-      DispatchTargets(true, d.relation, nit->second.size(), d.tuple, &cands);
-      for (uint32_t pos : cands) {
-        const CeRef& ref = nit->second[pos];
-        const Rule& rule = rules_[static_cast<size_t>(ref.rule)];
-        const ConditionSpec& ce =
-            rule.lhs.conditions[static_cast<size_t>(ref.ce)];
-        Binding beta;
-        if (!BindSingle(ce, d.tuple, rule.lhs.num_vars, &beta)) continue;
-        std::vector<Instantiation> insts;
-        PRODB_RETURN_IF_ERROR(MaterializeInstantiations(
-            catalog_, rule, ref.rule, beta, &insts, &stats_));
-        for (Instantiation& inst : insts) conflict_set_.Add(std::move(inst));
-      }
     }
   }
   return FlushOps(&ops);
@@ -641,7 +394,7 @@ Status PatternMatcher::SyncRuleDef() {
   for (auto& [id, row] : rows) {
     int rule = static_cast<int>(row[0].as_int());
     int cen = static_cast<int>(row[1].as_int());
-    const Rule& r = rules_[static_cast<size_t>(rule)];
+    const Rule& r = rules()[static_cast<size_t>(rule)];
     const ConditionSpec& ce = r.lhs.conditions[static_cast<size_t>(cen)];
     Relation* wm = catalog_->Get(ce.relation);
     bool satisfied = false;

@@ -1,7 +1,6 @@
 #ifndef PRODB_MATCH_PATTERN_MATCHER_H_
 #define PRODB_MATCH_PATTERN_MATCHER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,7 +9,7 @@
 #include <vector>
 
 #include "db/executor.h"
-#include "match/discrimination.h"
+#include "match/cond_dispatch.h"
 #include "match/matcher.h"
 
 namespace prodb {
@@ -69,8 +68,6 @@ class PatternMatcher : public Matcher {
   ~PatternMatcher() override;
 
   Status AddRule(const Rule& rule) override;
-  Status OnInsert(const std::string& rel, TupleId id, const Tuple& t) override;
-  Status OnDelete(const std::string& rel, TupleId id, const Tuple& t) override;
   /// Batched maintenance: the conflict-set passes for deletions and for
   /// negated-CE blockers run once per batch, and pattern counter updates
   /// (±1 bumps) accumulate across consecutive deltas, flushing lazily —
@@ -82,7 +79,9 @@ class PatternMatcher : public Matcher {
   size_t AuxiliaryFootprintBytes() const override;
   const MatcherStats& stats() const override { return stats_; }
   std::string name() const override { return "pattern"; }
-  const std::vector<Rule>& rules() const override { return rules_; }
+  const std::vector<Rule>& rules() const override {
+    return dispatch_.rules();
+  }
 
   /// Number of matching-pattern rows currently stored for class `cls`
   /// (excludes the original condition rows).
@@ -99,9 +98,6 @@ class PatternMatcher : public Matcher {
   /// tests (§4.1.1's per-condition Check bit), set-at-a-time.
   Status SyncRuleDef();
   Relation* rule_def() const { return rule_def_; }
-
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
 
  private:
   /// One queued ±1 pattern-counter update.
@@ -128,21 +124,10 @@ class PatternMatcher : public Matcher {
     size_t pattern_rows = 0;
   };
 
-  struct CeRef {
-    int rule;
-    int ce;
-  };
+  using CeRef = CondDispatch::CeRef;
 
   Status EnsureCondStore(const std::string& cls, CondStore** out);
   static std::string ProjectionKey(const Binding& b);
-
-  /// Fills *out with the positions (into the class's CeRef bucket) to
-  /// dispatch for `t`: discrimination-index candidates when enabled (a
-  /// superset of the CEs whose constant tests accept `t`; skipping the
-  /// rest is exact — BindSingle checks constant tests first), every
-  /// position otherwise. Updates the dispatch counters either way.
-  void DispatchTargets(bool negated, const std::string& rel, size_t n,
-                       const Tuple& t, std::vector<uint32_t>* out);
 
   /// Projects `full` onto the vars shared between CE `from` and CE `to`
   /// of `rule` (precomputed at AddRule).
@@ -163,16 +148,9 @@ class PatternMatcher : public Matcher {
   Catalog* catalog_;
   PatternMatcherOptions options_;
   Executor executor_;
-  std::vector<Rule> rules_;
-  std::unordered_map<std::string, std::vector<CeRef>> positive_by_class_;
-  std::unordered_map<std::string, std::vector<CeRef>> negative_by_class_;
-  // Class name -> discrimination index over the bucket's CE constant
-  // tests (entry id = position in the bucket).
-  std::unordered_map<std::string, DiscriminationIndex> positive_disc_;
-  std::unordered_map<std::string, DiscriminationIndex> negative_disc_;
-  // reserve() hint: previous delta's candidate count (atomic — the
-  // concurrent engine dispatches from worker threads).
-  std::atomic<uint32_t> last_candidates_{0};
+  // Rules, per-class CE buckets and the shared conflict-set passes. A
+  // candidate is exact to skip: BindSingle checks constant tests first.
+  CondDispatch dispatch_;
   // [rule][from_ce][to_ce] -> shared variable ids (kEq occurrences).
   std::vector<std::vector<std::vector<std::vector<int>>>> shared_vars_;
   std::unordered_map<std::string, std::unique_ptr<CondStore>> cond_stores_;

@@ -1,55 +1,25 @@
 #include "match/query_matcher.h"
 
+#include <algorithm>
 #include <chrono>
-#include <set>
-#include <unordered_set>
 
 namespace prodb {
 
 Status QueryMatcher::AddRule(const Rule& rule) {
-  int rule_index = static_cast<int>(rules_.size());
-  const bool declare = executor_.options().use_indexes &&
-                       executor_.options().declare_rule_indexes;
-  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-    const ConditionSpec& c = rule.lhs.conditions[ce];
-    Relation* rel = catalog_->Get(c.relation);
-    if (rel == nullptr) {
-      return Status::NotFound("rule " + rule.name + ": relation " +
-                              c.relation);
-    }
-    // Register statistics for every LHS relation while registration is
-    // still single-threaded (seeding from current contents, so rules
-    // added after a preload see real cardinalities); the map is then
-    // frozen and OnBatch updates it lock-free from engine threads.
-    cat_stats_.Register(c.relation, rel);
-    if (declare) {
-      // Hash indexes on every attribute the executor can probe with a
-      // bound equality (§4.1.2): seeded re-evaluation then touches only
-      // the joining tuples instead of scanning each WM relation.
-      for (const VarUse& u : c.var_uses) {
-        if (u.op == CompareOp::kEq && !rel->HasHashIndex(u.attr)) {
-          PRODB_RETURN_IF_ERROR(rel->CreateHashIndex(u.attr));
-        }
-      }
-      for (const ConstantTest& t : c.constant_tests) {
-        if (t.op == CompareOp::kEq && !rel->HasHashIndex(t.attr)) {
-          PRODB_RETURN_IF_ERROR(rel->CreateHashIndex(t.attr));
-        }
-      }
-    }
-    auto& bucket =
-        c.negated ? negative_by_class_[c.relation]
-                  : positive_by_class_[c.relation];
-    auto& disc =
-        c.negated ? negative_disc_[c.relation] : positive_disc_[c.relation];
-    // Always registered (cheap, and the ablation variants keep the
-    // structure comparable); the dispatch flag decides whether lookups
-    // happen.
-    disc.Add(static_cast<uint32_t>(bucket.size()), c.constant_tests);
-    disc.Seal();
-    bucket.push_back(CeRef{rule_index, static_cast<int>(ce)});
+  // Hash indexes on every attribute the executor can probe with a bound
+  // equality (§4.1.2): seeded re-evaluation then touches only the
+  // joining tuples instead of scanning each WM relation.
+  PRODB_RETURN_IF_ERROR(dispatch_.AddRule(
+      catalog_, rule,
+      executor_.options().use_indexes &&
+          executor_.options().declare_rule_indexes));
+  // Register statistics for every LHS relation while registration is
+  // still single-threaded (seeding from current contents, so rules added
+  // after a preload see real cardinalities); the map is then frozen and
+  // OnBatch updates it lock-free from engine threads.
+  for (const ConditionSpec& c : rule.lhs.conditions) {
+    cat_stats_.Register(c.relation, catalog_->Get(c.relation));
   }
-  rules_.push_back(rule);
   // Plan the rule's join sequence (syntactic when stats are empty — the
   // usual case at registration time; the drift check upgrades it once
   // data arrives). Copy-on-write republication keeps readers lock-free.
@@ -62,7 +32,7 @@ Status QueryMatcher::AddRule(const Rule& rule) {
 }
 
 void QueryMatcher::MaybeReplan(size_t deltas) {
-  if (!planner_.options().enable || rules_.empty()) return;
+  if (!planner_.options().enable || rules().empty()) return;
   const uint64_t pending =
       deltas_since_plan_check_.fetch_add(deltas, std::memory_order_relaxed) +
       deltas;
@@ -83,8 +53,8 @@ void QueryMatcher::MaybeReplan(size_t deltas) {
   // bitmaps, then recompute every plan against the fresh statistics.
   cat_stats_.RefreshStale(catalog_);
   auto next = std::make_shared<std::vector<JoinPlan>>();
-  next->reserve(rules_.size());
-  for (const Rule& r : rules_) {
+  next->reserve(rules().size());
+  for (const Rule& r : rules()) {
     next->push_back(planner_.Plan(r.lhs));
     ++stats_.plans_built;
   }
@@ -92,31 +62,10 @@ void QueryMatcher::MaybeReplan(size_t deltas) {
   plans_.store(std::shared_ptr<const std::vector<JoinPlan>>(std::move(next)));
 }
 
-void QueryMatcher::DispatchTargets(bool negated, const std::string& rel,
-                                   size_t n, const Tuple& t,
-                                   std::vector<uint32_t>* out) {
-  out->clear();
-  if (executor_.options().discriminate_dispatch) {
-    out->reserve(last_candidates_.load(std::memory_order_relaxed));
-    const auto& discs = negated ? negative_disc_ : positive_disc_;
-    auto it = discs.find(rel);
-    if (it != discs.end()) it->second.Lookup(t, out);
-    last_candidates_.store(static_cast<uint32_t>(out->size()),
-                           std::memory_order_relaxed);
-    stats_.candidates_visited += out->size();
-  } else {
-    out->reserve(n);
-    for (uint32_t i = 0; i < static_cast<uint32_t>(n); ++i) {
-      out->push_back(i);
-    }
-  }
-  stats_.alpha_tests_evaluated += out->size();
-}
-
 Status QueryMatcher::SeedMatches(int rule_index, int ce, TupleId id,
                                  const Tuple& t,
                                  std::vector<Instantiation>* out) {
-  const Rule& rule = rules_[static_cast<size_t>(rule_index)];
+  const Rule& rule = rules()[static_cast<size_t>(rule_index)];
   // Planned evaluation order (snapshot — replans swap the whole vector).
   std::shared_ptr<const std::vector<JoinPlan>> plans;
   const JoinPlan* plan = nullptr;
@@ -166,7 +115,7 @@ Status QueryMatcher::SeedAndAdd(int rule_index, int ce, TupleId id,
 
 Status QueryMatcher::EvaluateRule(int rule_index,
                                   std::vector<Instantiation>* out) {
-  const Rule& rule = rules_[static_cast<size_t>(rule_index)];
+  const Rule& rule = rules()[static_cast<size_t>(rule_index)];
   std::shared_ptr<const std::vector<JoinPlan>> plans;
   const JoinPlan* plan = nullptr;
   if (planner_.options().enable) {
@@ -195,157 +144,31 @@ Status QueryMatcher::EvaluateRule(int rule_index,
   return Status::OK();
 }
 
-Status QueryMatcher::OnInsert(const std::string& rel, TupleId id,
-                              const Tuple& t) {
-  if (planner_.options().enable) cat_stats_.OnDelta(rel, t, +1);
-  std::vector<uint32_t> cands;
-  // Positive CEs over this class whose constant tests can accept the new
-  // tuple: re-evaluate the LHS seeded with it (§4.1.2's re-computation
-  // of joins).
-  auto pit = positive_by_class_.find(rel);
-  if (pit != positive_by_class_.end()) {
-    DispatchTargets(false, rel, pit->second.size(), t, &cands);
-    for (uint32_t pos : cands) {
-      const CeRef& ref = pit->second[pos];
-      ++stats_.propagations;
-      PRODB_RETURN_IF_ERROR(SeedAndAdd(ref.rule, ref.ce, id, t));
-    }
-  }
-  // Negated CEs over this class: the new tuple may invalidate existing
-  // instantiations whose binding it is consistent with.
-  auto nit = negative_by_class_.find(rel);
-  if (nit != negative_by_class_.end()) {
-    DispatchTargets(true, rel, nit->second.size(), t, &cands);
-    for (uint32_t pos : cands) {
-      const CeRef& ref = nit->second[pos];
-      const ConditionSpec& ce =
-          rules_[static_cast<size_t>(ref.rule)].lhs.conditions
-              [static_cast<size_t>(ref.ce)];
-      conflict_set_.RemoveIf([&](const Instantiation& inst) {
-        if (inst.rule_index != ref.rule) return false;
-        Binding b = inst.binding;
-        return TupleConsistent(ce, t, &b);
-      });
-    }
-  }
-  MaybeReplan(1);
-  return Status::OK();
-}
-
-Status QueryMatcher::OnDelete(const std::string& rel, TupleId id,
-                              const Tuple& t) {
-  if (planner_.options().enable) cat_stats_.OnDelta(rel, t, -1);
-  // Drop instantiations that referenced the deleted tuple at a CE over
-  // this relation.
-  conflict_set_.RemoveIf([&](const Instantiation& inst) {
-    const Rule& rule = rules_[static_cast<size_t>(inst.rule_index)];
-    for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-      if (rule.lhs.conditions[ce].relation == rel &&
-          !rule.lhs.conditions[ce].negated && inst.tuple_ids[ce] == id) {
-        return true;
-      }
-    }
-    return false;
-  });
-  // A deletion can enable rules negatively dependent on this relation:
-  // re-evaluate them from scratch. Only CEs whose constant tests accept
-  // the dead tuple need it — a tuple failing them never blocked anything.
-  auto nit = negative_by_class_.find(rel);
-  if (nit != negative_by_class_.end()) {
-    std::vector<uint32_t> cands;
-    DispatchTargets(true, rel, nit->second.size(), t, &cands);
-    for (uint32_t pos : cands) {
-      const CeRef& ref = nit->second[pos];
-      std::vector<Instantiation> insts;
-      PRODB_RETURN_IF_ERROR(EvaluateRule(ref.rule, &insts));
-      ++stats_.propagations;
-      for (Instantiation& inst : insts) conflict_set_.Add(std::move(inst));
-    }
-  }
-  MaybeReplan(1);
-  return Status::OK();
-}
-
 Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   ++stats_.batches;
-  if (batch.size() == 1) {
-    const Delta& d = batch[0];
-    return d.is_insert() ? OnInsert(d.relation, d.id, d.tuple)
-                         : OnDelete(d.relation, d.id, d.tuple);
-  }
   if (planner_.options().enable) cat_stats_.OnBatch(batch);
   const bool sharded = sharding_.enabled();
   std::unique_lock<std::mutex> lock(batch_mu_, std::defer_lock);
   if (sharded) lock.lock();
   std::vector<uint32_t> cands;
 
-  // 1. One conflict-set pass retiring every instantiation that references
-  //    a deleted tuple at a positive CE (the per-tuple path pays one full
-  //    pass per deletion).
-  std::unordered_map<std::string, std::unordered_set<TupleId, TupleIdHash>>
-      deleted;
-  for (const Delta& d : batch) {
-    if (d.is_delete()) deleted[d.relation].insert(d.id);
-  }
-  if (!deleted.empty()) {
-    conflict_set_.RemoveIf([&](const Instantiation& inst) {
-      const Rule& rule = rules_[static_cast<size_t>(inst.rule_index)];
-      for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-        if (rule.lhs.conditions[ce].negated) continue;
-        auto it = deleted.find(rule.lhs.conditions[ce].relation);
-        if (it != deleted.end() && it->second.count(inst.tuple_ids[ce])) {
-          return true;
-        }
-      }
-      return false;
-    });
-  }
-
-  // 2. One pass retiring instantiations blocked by inserted tuples via
-  //    negated CEs, restricted to the (delta, CE) pairs the
-  //    discrimination index says can interact. Additions below evaluate
-  //    against the post-batch WM, so a blocker inserted anywhere in the
-  //    batch censors them already.
-  std::vector<std::pair<const Delta*, const CeRef*>> blockers;
-  for (const Delta& d : batch) {
-    if (!d.is_insert()) continue;
-    auto nit = negative_by_class_.find(d.relation);
-    if (nit == negative_by_class_.end()) continue;
-    DispatchTargets(true, d.relation, nit->second.size(), d.tuple, &cands);
-    for (uint32_t pos : cands) {
-      blockers.emplace_back(&d, &nit->second[pos]);
-    }
-  }
-  if (!blockers.empty()) {
-    conflict_set_.RemoveIf([&](const Instantiation& inst) {
-      for (const auto& [d, ref] : blockers) {
-        if (ref->rule != inst.rule_index) continue;
-        const ConditionSpec& ce =
-            rules_[static_cast<size_t>(ref->rule)].lhs.conditions
-                [static_cast<size_t>(ref->ce)];
-        Binding b = inst.binding;
-        if (TupleConsistent(ce, d->tuple, &b)) return true;
-      }
-      return false;
-    });
-  }
+  // 1–2. Retire instantiations that use a deleted tuple or that an
+  //      inserted tuple blocks through a negated CE.
+  const DeletedTuples deleted(batch);
+  dispatch_.RetireInvalidated(batch, deleted, &conflict_set_, &cands);
 
   // 3. Seeded evaluation per inserted tuple against its candidate CEs; a
-  //    batch still counts one propagation step per affected condition
+  //    batch counts one propagation step per distinct affected condition
   //    element rather than one per tuple. A tuple both inserted and
   //    deleted within the batch is never seeded: EvaluateSeeded
   //    force-includes its seed, and the removal pass above has already
   //    run.
-  auto dead = [&](const Delta& d) {
-    auto it = deleted.find(d.relation);
-    return it != deleted.end() && it->second.count(d.id) > 0;
-  };
-  // One seeded evaluation per (insert, candidate CE). Sharded, the pairs
-  // are collected first (dispatch accounting stays serial), split by
-  // collection index (seed i -> task i % num_shards), evaluated
-  // concurrently into per-pair buffers — evaluation is read-only against
-  // post-batch WM — and committed in collection order, so conflict-set
-  // contents and recency stamps are byte-identical to the serial path.
+  // Sharded, the (insert, candidate CE) pairs are collected first
+  // (dispatch accounting stays serial), split by collection index (seed
+  // i -> task i % num_shards), evaluated concurrently into per-pair
+  // buffers — evaluation is read-only against post-batch WM — and
+  // committed in collection order, so conflict-set contents and recency
+  // stamps are byte-identical to the serial path.
   struct SeedItem {
     const Delta* d;
     int rule;
@@ -354,15 +177,22 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
     Status st;
   };
   std::vector<SeedItem> seeds;
-  std::set<std::pair<const std::string*, uint32_t>> counted;
+  // The candidates of one lookup are distinct, so only a batch with
+  // several inserts needs the dedup list (and its allocation).
+  const bool one_insert =
+      std::count_if(batch.begin(), batch.end(),
+                    [](const Delta& d) { return d.is_insert(); }) <= 1;
+  std::vector<const CeRef*> touched;
+  size_t steps = 0;
   for (const Delta& d : batch) {
-    if (!d.is_insert() || dead(d)) continue;
-    auto pit = positive_by_class_.find(d.relation);
-    if (pit == positive_by_class_.end()) continue;
-    DispatchTargets(false, d.relation, pit->second.size(), d.tuple, &cands);
+    if (!d.is_insert() || deleted.Contains(d.relation, d.id)) continue;
+    const CondDispatch::Bucket* bucket =
+        dispatch_.Candidates(false, d.relation, d.tuple, &cands);
+    if (bucket == nullptr) continue;
+    if (one_insert) steps += cands.size();
     for (uint32_t pos : cands) {
-      const CeRef& ref = pit->second[pos];
-      if (counted.insert({&pit->first, pos}).second) ++stats_.propagations;
+      const CeRef& ref = (*bucket)[pos];
+      if (!one_insert) touched.push_back(&ref);
       if (sharded) {
         seeds.push_back(SeedItem{&d, ref.rule, ref.ce, {}, {}});
       } else {
@@ -370,8 +200,16 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
       }
     }
   }
+  std::sort(touched.begin(), touched.end());
+  steps += static_cast<size_t>(
+      std::unique(touched.begin(), touched.end()) - touched.begin());
+  // One atomic add per batch, and none for a batch that seeds nothing.
+  if (steps != 0) stats_.propagations += steps;
   if (!seeds.empty()) {
-    std::vector<std::vector<size_t>> by_shard(sharding_.num_shards);
+    // No more tasks than seeds (routing is unchanged: i < num_shards), so
+    // a one-seed batch runs inline instead of waking the pool.
+    std::vector<std::vector<size_t>> by_shard(
+        std::min<size_t>(sharding_.num_shards, seeds.size()));
     for (size_t i = 0; i < seeds.size(); ++i) {
       by_shard[i % by_shard.size()].push_back(i);
     }
@@ -412,14 +250,17 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   // 4. Each rule negatively dependent on a deletion the index deems
   //    relevant is re-evaluated once — not once per deleted tuple, the
   //    amortization §4.1.2's "re-computation of joins" cost begs for.
-  std::set<int> reeval;
+  //    Rules run in ascending index order.
+  std::vector<int> reeval;
   for (const Delta& d : batch) {
     if (!d.is_delete()) continue;
-    auto nit = negative_by_class_.find(d.relation);
-    if (nit == negative_by_class_.end()) continue;
-    DispatchTargets(true, d.relation, nit->second.size(), d.tuple, &cands);
-    for (uint32_t pos : cands) reeval.insert(nit->second[pos].rule);
+    const CondDispatch::Bucket* bucket =
+        dispatch_.Candidates(true, d.relation, d.tuple, &cands);
+    if (bucket == nullptr) continue;
+    for (uint32_t pos : cands) reeval.push_back((*bucket)[pos].rule);
   }
+  std::sort(reeval.begin(), reeval.end());
+  reeval.erase(std::unique(reeval.begin(), reeval.end()), reeval.end());
   if (!sharded) {
     for (int rule_index : reeval) {
       std::vector<Instantiation> insts;
@@ -433,21 +274,19 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   // Sharded step 4: full re-evaluations fan out one rule per task,
   // grouped by `rule % num_shards` (rules have no home shard here — the
   // partition only balances work and keeps per-shard counters
-  // single-writer); commits run in ascending rule order, matching the
-  // serial std::set walk.
+  // single-writer); commits run in ascending rule order, as serially.
   if (!reeval.empty()) {
-    std::vector<int> reeval_rules(reeval.begin(), reeval.end());
-    std::vector<std::vector<Instantiation>> results(reeval_rules.size());
-    std::vector<Status> sts(reeval_rules.size());
+    std::vector<std::vector<Instantiation>> results(reeval.size());
+    std::vector<Status> sts(reeval.size());
     std::vector<std::vector<size_t>> by_shard(sharding_.num_shards);
-    for (size_t i = 0; i < reeval_rules.size(); ++i) {
-      by_shard[static_cast<size_t>(reeval_rules[i]) % by_shard.size()]
-          .push_back(i);
+    for (size_t i = 0; i < reeval.size(); ++i) {
+      by_shard[static_cast<size_t>(reeval[i]) % by_shard.size()].push_back(
+          i);
     }
     auto run_shard = [&](size_t s) {
       for (size_t i : by_shard[s]) {
         ++shard_stats_[s].deltas_routed;
-        sts[i] = EvaluateRule(reeval_rules[i], &results[i]);
+        sts[i] = EvaluateRule(reeval[i], &results[i]);
         shard_stats_[s].conflict_ops += results[i].size();
         if (!sts[i].ok()) break;
       }
@@ -457,7 +296,7 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
     } else {
       for (size_t s = 0; s < by_shard.size(); ++s) run_shard(s);
     }
-    for (size_t i = 0; i < reeval_rules.size(); ++i) {
+    for (size_t i = 0; i < reeval.size(); ++i) {
       PRODB_RETURN_IF_ERROR(sts[i]);
       ++stats_.propagations;
       for (Instantiation& inst : results[i]) {
@@ -478,14 +317,7 @@ std::vector<ShardStats> QueryMatcher::ShardStatsSnapshot() const {
 size_t QueryMatcher::AuxiliaryFootprintBytes() const {
   // The whole point of §4.1: no intermediate results are stored. Only the
   // per-class CE maps (and their discrimination indexes, O(#CEs)) exist.
-  size_t total = 0;
-  for (const auto& [name, refs] : positive_by_class_) {
-    total += name.size() + refs.size() * (sizeof(CeRef) + 16);
-  }
-  for (const auto& [name, refs] : negative_by_class_) {
-    total += name.size() + refs.size() * (sizeof(CeRef) + 16);
-  }
-  return total;
+  return dispatch_.FootprintBytes();
 }
 
 }  // namespace prodb

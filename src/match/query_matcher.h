@@ -5,13 +5,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "db/executor.h"
 #include "db/stats.h"
-#include "match/discrimination.h"
+#include "match/cond_dispatch.h"
 #include "match/matcher.h"
 #include "plan/planner.h"
 
@@ -43,6 +42,7 @@ class QueryMatcher : public Matcher {
       : catalog_(catalog),
         executor_(catalog, exec_options),
         planner_(&cat_stats_, planner),
+        dispatch_(&stats_, exec_options.discriminate_dispatch),
         sharding_(sharding) {
     executor_.set_stats(&stats_);
     if (planner.enable) executor_.set_planner_stats(&cat_stats_);
@@ -56,13 +56,12 @@ class QueryMatcher : public Matcher {
   }
 
   Status AddRule(const Rule& rule) override;
-  Status OnInsert(const std::string& rel, TupleId id, const Tuple& t) override;
-  Status OnDelete(const std::string& rel, TupleId id, const Tuple& t) override;
   /// Set-oriented re-evaluation: one conflict-set pass retires every
-  /// instantiation invalidated by the batch's deletions, and each rule
-  /// negatively dependent on a churned relation is re-evaluated once per
-  /// batch instead of once per deleted tuple (§4.1.2's join
-  /// re-computation, amortized over the whole ∆).
+  /// instantiation invalidated by the batch's deletions, each inserted
+  /// tuple seeds its candidate CEs' LHS joins, and each rule negatively
+  /// dependent on a churned relation is re-evaluated once per batch
+  /// instead of once per deleted tuple (§4.1.2's join re-computation,
+  /// amortized over the whole ∆).
   Status OnBatch(const ChangeSet& batch) override;
 
   ConflictSet& conflict_set() override { return conflict_set_; }
@@ -78,17 +77,13 @@ class QueryMatcher : public Matcher {
     return plans_.load();
   }
   const CatalogStats& catalog_stats() const { return cat_stats_; }
-  const std::vector<Rule>& rules() const override { return rules_; }
+  const std::vector<Rule>& rules() const override {
+    return dispatch_.rules();
+  }
   std::vector<ShardStats> ShardStatsSnapshot() const override;
 
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
-
  private:
-  struct CeRef {
-    int rule;
-    int ce;
-  };
+  using CeRef = CondDispatch::CeRef;
 
   /// Seeded evaluation of (rule, ce) with tuple (id, t) into *out —
   /// read-only against WM, so shards may run it concurrently; the caller
@@ -96,18 +91,10 @@ class QueryMatcher : public Matcher {
   Status SeedMatches(int rule_index, int ce, TupleId id, const Tuple& t,
                      std::vector<Instantiation>* out);
   /// Seeded evaluation + immediate conflict-set commit (the serial
-  /// per-tuple path).
+  /// step 3).
   Status SeedAndAdd(int rule_index, int ce, TupleId id, const Tuple& t);
   /// Full re-evaluation of `rule_index` into *out (step-4 helper).
   Status EvaluateRule(int rule_index, std::vector<Instantiation>* out);
-
-  /// Fills *out with the positions (into the class's CeRef bucket) to
-  /// dispatch for `t`: the discrimination-index candidates when enabled
-  /// (a superset of the CEs whose constant tests pass — skipping the
-  /// rest is exact, constant tests are binding-independent), every
-  /// position otherwise. Updates the dispatch counters either way.
-  void DispatchTargets(bool negated, const std::string& rel, size_t n,
-                       const Tuple& t, std::vector<uint32_t>* out);
 
   /// Drift check + re-plan, rate-limited and serialized by replan_mu_
   /// (try_lock: concurrent callers skip rather than queue). New plans
@@ -119,8 +106,8 @@ class QueryMatcher : public Matcher {
   Executor executor_;
   // Incremental catalog statistics over the rules' LHS relations,
   // registered at AddRule (single-threaded) and updated lock-free from
-  // OnInsert/OnDelete/OnBatch — the Seal()-style publication contract
-  // documented on CatalogStats.
+  // OnBatch — the Seal()-style publication contract documented on
+  // CatalogStats.
   CatalogStats cat_stats_;
   JoinPlanner planner_;
   // Per-rule plans (index = rule). Copy-on-write: replans build a fresh
@@ -129,17 +116,8 @@ class QueryMatcher : public Matcher {
   std::atomic<std::shared_ptr<const std::vector<JoinPlan>>> plans_;
   std::mutex replan_mu_;
   std::atomic<uint64_t> deltas_since_plan_check_{0};
-  std::vector<Rule> rules_;
-  // Class name -> positive / negated condition elements over it.
-  std::unordered_map<std::string, std::vector<CeRef>> positive_by_class_;
-  std::unordered_map<std::string, std::vector<CeRef>> negative_by_class_;
-  // Class name -> discrimination index over the bucket's CE constant
-  // tests (entry id = position in the bucket).
-  std::unordered_map<std::string, DiscriminationIndex> positive_disc_;
-  std::unordered_map<std::string, DiscriminationIndex> negative_disc_;
-  // reserve() hint: previous delta's candidate count (atomic — the
-  // concurrent engine dispatches from worker threads).
-  std::atomic<uint32_t> last_candidates_{0};
+  // Rules, per-class CE buckets and the shared conflict-set passes.
+  CondDispatch dispatch_;
   ShardingOptions sharding_;
   // Workers for the sharded OnBatch fan-out (absent when serial).
   std::unique_ptr<ThreadPool> pool_;

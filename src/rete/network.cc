@@ -601,8 +601,8 @@ Status ReteNetwork::ActivateRightBatch(
   if (!node->left_key.empty()) {
     // Indexed path: each activation probes the LEFT memory for its
     // join-compatible tokens only — per-delta cost O(matches), not
-    // O(|memory|). Activation-major order equals the per-tuple
-    // propagation order.
+    // O(|memory|). Activation-major order equals the order of
+    // propagating the deltas one at a time.
     for (const RightActivation& a : effective) {
       std::vector<Value> key;
       std::vector<ReteToken> lefts;
@@ -631,8 +631,8 @@ Status ReteNetwork::ActivateRightBatch(
   }
 
   // Walk the LEFT memory once, pairing every stored token with every
-  // activation of the group in delta order — the per-tuple path re-scans
-  // this memory for each arrival; the batch pays the scan once.
+  // activation of the group in delta order — one-delta batches re-scan
+  // this memory for each arrival; a larger group pays the scan once.
   std::vector<ReteToken> lefts;
   PRODB_RETURN_IF_ERROR(node->left->Scan([&](const ReteToken& l) {
     ++stats_.scan_tokens_visited;
@@ -711,24 +711,6 @@ Status ReteNetwork::PropagateGroup(const std::string& rel,
   return Status::OK();
 }
 
-Status ReteNetwork::OnInsert(const std::string& rel, TupleId id,
-                             const Tuple& t) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  if (options_.planner.enable) cat_stats_.OnDelta(rel, t, +1);
-  one_act_.assign(1, RightActivation{id, &t, /*positive=*/true});
-  PRODB_RETURN_IF_ERROR(PropagateGroup(rel, one_act_));
-  return MaybeReplan(1);
-}
-
-Status ReteNetwork::OnDelete(const std::string& rel, TupleId id,
-                             const Tuple& t) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  if (options_.planner.enable) cat_stats_.OnDelta(rel, t, -1);
-  one_act_.assign(1, RightActivation{id, &t, /*positive=*/false});
-  PRODB_RETURN_IF_ERROR(PropagateGroup(rel, one_act_));
-  return MaybeReplan(1);
-}
-
 Status ReteNetwork::OnBatch(const ChangeSet& batch) {
   std::lock_guard<std::mutex> lock(batch_mu_);
   ++stats_.batches;
@@ -737,7 +719,7 @@ Status ReteNetwork::OnBatch(const ChangeSet& batch) {
   // never reused, so cross-relation reordering cannot invert an
   // insert/delete pair of the same tuple). Groups run in first-appearance
   // order; the conflict set reconciles by instantiation key, so the net
-  // result matches per-tuple propagation.
+  // result matches propagating the deltas one at a time.
   std::vector<const std::string*> order;
   std::unordered_map<std::string, std::vector<RightActivation>> groups;
   for (const Delta& d : batch) {

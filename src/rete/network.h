@@ -83,8 +83,6 @@ class ReteNetwork : public Matcher {
   ~ReteNetwork() override;
 
   Status AddRule(const Rule& rule) override;
-  Status OnInsert(const std::string& rel, TupleId id, const Tuple& t) override;
-  Status OnDelete(const std::string& rel, TupleId id, const Tuple& t) override;
   /// Set-oriented propagation: groups same-relation deltas (preserving
   /// their order) and pushes each group through the alpha network in one
   /// pass, so two-input nodes scan their LEFT memories once per group
@@ -113,9 +111,6 @@ class ReteNetwork : public Matcher {
   /// (tests/benchmarks; the production trigger is cardinality drift,
   /// checked after each batch).
   Status ForceReplan();
-
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
 
  private:
   struct AlphaNode;
@@ -165,8 +160,8 @@ class ReteNetwork : public Matcher {
   Status Produce(int rule, const ReteToken& token, bool positive);
 
   /// Drift check + re-plan, rate-limited to every kReplanCheckInterval
-  /// deltas. Called at the end of OnInsert/OnDelete/OnBatch under
-  /// batch_mu_, when WM relations and token memories agree.
+  /// deltas. Called at the end of OnBatch under batch_mu_, when WM
+  /// relations and token memories agree.
   Status MaybeReplan(size_t deltas);
   /// Re-plans all rules against fresh stats; rebuilds when an order
   /// changed. Observes est-vs-actual accuracy of the outgoing plans.
@@ -215,10 +210,6 @@ class ReteNetwork : public Matcher {
   // batches from worker threads with no external lock, and the token
   // memories / alpha scratch state are single-writer by design.
   mutable std::mutex batch_mu_;
-  // Reused one-element activation group for the per-tuple OnInsert /
-  // OnDelete path (guarded by batch_mu_) — keeps that hot path free of
-  // a per-call vector allocation.
-  std::vector<RightActivation> one_act_;
   ConflictSet conflict_set_;
   MatcherStats stats_;
   size_t store_counter_ = 0;

@@ -12,6 +12,11 @@ reported but never gate. Wall-clock noise on shared runners is real;
 the default threshold (+25%) is deliberately loose — this gate exists
 to catch algorithmic regressions, not scheduler jitter.
 
+Under --benchmark_repetitions a benchmark reports one iteration row per
+repetition, all under the same name; the gate compares the median of
+those rows (the last one alone is just the noisiest sample that
+happened to finish last).
+
 A row whose measured real time is zero (a benchmark that crashed or was
 interrupted leaves such stubs) is skipped with a note instead of gating:
 a zero denominator used to turn into an infinite ratio and a spurious
@@ -29,6 +34,7 @@ job page without digging through the log.
 
 import argparse
 import json
+import statistics
 import sys
 
 # Everything is normalized to nanoseconds before comparison.
@@ -36,14 +42,15 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_suites(path):
-    """Returns {suite: {bench_name: real_time_ns}} from a combined file."""
+    """Returns {suite: {bench_name: real_time_ns}} from a combined file,
+    the time being the median of the name's repetitions."""
     with open(path) as f:
         combined = json.load(f)
     suites = {}
     for suite, report in combined.items():
         if not isinstance(report, dict) or "benchmarks" not in report:
             continue
-        rows = {}
+        samples = {}
         for b in report["benchmarks"]:
             # Aggregate rows (mean/median/stddev from --benchmark_repetitions)
             # would double-count; gate on plain iteration rows only.
@@ -52,7 +59,13 @@ def load_suites(path):
             unit = _UNIT_NS.get(b.get("time_unit", "ns"))
             if unit is None or "real_time" not in b:
                 continue
-            rows[b["name"]] = b["real_time"] * unit
+            samples.setdefault(b["name"], []).append(b["real_time"] * unit)
+        rows = {}
+        for name, times in samples.items():
+            # Zero-time stubs are broken repetitions, not samples; a name
+            # with no real sample keeps 0 so the caller skips it.
+            real = [t for t in times if t > 0]
+            rows[name] = statistics.median(real) if real else 0.0
         suites[suite] = rows
     return suites
 
@@ -88,6 +101,19 @@ def self_test():
          [bench("a", 100), bench("b", 100)]),
         ("zero-time fresh row is skipped", 0,
          [bench("a", 100)], [bench("a", 0)]),
+        # Repetitions share one name; the median gates, not the last.
+        ("median within bound passes though the last repetition is not", 0,
+         [bench("a", 100)],
+         [bench("a", 100), bench("a", 110), bench("a", 200)]),
+        ("median beyond bound fails though the last repetition is within", 1,
+         [bench("a", 100)],
+         [bench("a", 200), bench("a", 210), bench("a", 100)]),
+        ("baseline repetitions gate on their median too", 1,
+         [bench("a", 100), bench("a", 100), bench("a", 300)],
+         [bench("a", 150)]),
+        ("a zero-time repetition is dropped, not counted in the median", 0,
+         [bench("a", 100)],
+         [bench("a", 0), bench("a", 100), bench("a", 110)]),
     ]
     for desc, expected, base_rows, fresh_rows in cases:
         got = run(base_rows, fresh_rows)
